@@ -24,7 +24,6 @@ from .sturm import (
     PhiTrajectory,
     first_eigenvalue,
     integrate_phi,
-    sl_fd_modes,
     sl_fd_oracle,
     sl_fd_oracle_extrapolated,
     sphere_limit_eigenvalue,
@@ -77,7 +76,6 @@ __all__ = [
     "seeded_odd_initial_data",
     "shi_zhang_bound",
     "sk",
-    "sl_fd_modes",
     "sl_fd_oracle",
     "sl_fd_oracle_extrapolated",
     "sphere_limit_eigenvalue",

@@ -2,12 +2,12 @@
 
 Two independent routes to the same number:
 
-* ``first_eigenvalue`` -- shooting.  Integrate the initial value problem
+* ``first_eigenvalue`` -- shooting.  One RK4 kernel integrates
   ``phi'' - (n-1)*tk*phi' + sigma*phi = 0``, ``phi(0) = 0``, ``phi'(0) = 1``
-  on [0, D/2] and bisect sigma on the predicate "phi' stays positive".  The
-  eigenvalue is the supremum of sigmas for which the predicate holds; at that
-  value phi' first vanishes at the endpoint, which is exactly the Neumann
-  condition of the weighted form.
+  on [0, D/2] and counts sign changes of phi'.  By Sturm oscillation odd
+  Neumann mode j has exactly j of them, so bisecting sigma on "at most j
+  changes" finds mode j.  Mode 0 is the eigenvalue: there phi' first vanishes
+  at the endpoint, which is exactly the Neumann condition of the weighted form.
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-sequence bisection on the symmetric tridiagonal
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InvalidParamsError, ModelParams, NonConvergenceError, PoleError
-from .specialfn import ck_array, tk_array
+from .specialfn import ck, sk, tk_array
 
 # Starting grid for the shooting integrator; refined by doubling until two
 # successive refinements move the eigenvalue by less than tol/4.
@@ -66,19 +66,43 @@ class EigenResult:
     trajectory: PhiTrajectory
 
 
-def _tk_half_table(kappa: float, half: float, steps: int) -> list[float]:
-    """tk at the nodes and half-nodes s = j*h/2, j = 0..2*steps."""
-    if kappa > 0 and half >= math.pi / (2.0 * math.sqrt(kappa)):
+def _shooting_grid(params: ModelParams, steps: int) -> tuple[float, float, list[float]]:
+    """(n-1, step h, tk at the nodes and half-nodes s = j*h/2) on [0, D/2]."""
+    half = params.half_diameter
+    if params.kappa > 0 and half >= math.pi / (2.0 * math.sqrt(params.kappa)):
         raise PoleError(
             "integration interval [0, %g] contains a pole of tk at pi/(2*sqrt(kappa))" % half
         )
     pts = np.arange(2 * steps + 1) * (half / (2 * steps))
-    return tk_array(kappa, pts).tolist()
+    return float(params.n - 1), half / steps, tk_array(params.kappa, pts).tolist()
 
 
-def _dphi_positive(nm1: float, sigma: float, h: float, steps: int, tks: list[float]) -> bool:
-    """Early-exit check that phi' stays positive across the whole interval."""
+def _shoot(
+    nm1: float,
+    sigma: float,
+    h: float,
+    steps: int,
+    tks: list[float],
+    mode: int,
+    phis: np.ndarray | None = None,
+    dphis: np.ndarray | None = None,
+) -> tuple[int, int]:
+    """RK4 march from (phi, phi') = (0, 1); returns (sign changes of phi', first).
+
+    ``first`` is the step in which phi' first stops being positive, -1 if never
+    (zero and NaN count as non-positive).  Without output arrays the march
+    stops once the count exceeds ``mode`` or the solution blows up; with them
+    it runs to the end and records phi, phi' at nodes 1..steps.
+    """
+    # same IEEE results as numpy scalars, without a numpy call per operation
+    sigma, h = float(sigma), float(h)
+    record = phis is not None
+    limit = steps if record else mode
+    big = math.inf if record else _BLOWUP
     phi, dphi = 0.0, 1.0
+    rising = True
+    count = 0
+    first = -1
     h2 = 0.5 * h
     h6 = h / 6.0
     for i in range(steps):
@@ -97,12 +121,21 @@ def _dphi_positive(nm1: float, sigma: float, h: float, steps: int, tks: list[flo
         k4d = nm1 * t1 * d4 - sigma * p4
         phi += h6 * (dphi + 2.0 * (d2 + d3) + d4)
         dphi += h6 * (k1d + 2.0 * (k2d + k3d) + k4d)
-        if not dphi > 0.0:
-            return False
-        if dphi > _BLOWUP or phi > _BLOWUP or phi < -_BLOWUP:
-            # phi' grew without sign change: positivity holds on this grid
-            return True
-    return True
+        if record:
+            phis[i + 1] = phi
+            dphis[i + 1] = dphi
+        if (dphi > 0.0) == rising:
+            if dphi > big or phi > big or phi < -big:
+                # grew without a further sign change: the count is final on this grid
+                return count, first
+        else:
+            rising = not rising
+            count += 1
+            if first < 0:
+                first = i
+            if count > limit:
+                return count, first
+    return count, first
 
 
 def _hermite_dphi_zero(
@@ -140,49 +173,24 @@ def _hermite_dphi_zero(
 def integrate_phi(params: ModelParams, sigma: float, steps: int) -> PhiTrajectory:
     """Integrate the shooting IVP with classical 4th-order steps.
 
-    Returns the sampled trajectory on [0, D/2] together with the location of
-    the first zero of phi' (if any), refined inside the detecting step via a
-    cubic Hermite model of phi'.  The odd extension of the solution covers
-    [-D/2, 0], so integrating the right half suffices.
+    Runs the shooting kernel over the whole of [0, D/2], recording the
+    trajectory, and refines the first zero of phi' (if any) inside the step
+    the kernel reports via a cubic Hermite model of phi'.  The odd extension
+    of the solution covers [-D/2, 0], so integrating the right half suffices.
     """
     if steps < 16:
         raise InvalidParamsError(f"steps must be >= 16, got {steps}")
-    half = params.half_diameter
-    nm1 = float(params.n - 1)
-    h = half / steps
-    tks = _tk_half_table(params.kappa, half, steps)
-
-    phis = np.empty(steps + 1)
-    dphis = np.empty(steps + 1)
-    phi, dphi = 0.0, 1.0
-    phis[0] = phi
-    dphis[0] = dphi
-    h2 = 0.5 * h
-    h6 = h / 6.0
+    nm1, h, tks = _shooting_grid(params, steps)
+    phis = np.zeros(steps + 1)
+    dphis = np.ones(steps + 1)
+    _, i = _shoot(nm1, sigma, h, steps, tks, 0, phis, dphis)
     first_zero = None
-    for i in range(steps):
-        t0 = tks[2 * i]
-        tm = tks[2 * i + 1]
-        t1 = tks[2 * i + 2]
-        k1d = nm1 * t0 * dphi - sigma * phi
-        p2 = phi + h2 * dphi
-        d2 = dphi + h2 * k1d
-        k2d = nm1 * tm * d2 - sigma * p2
-        p3 = phi + h2 * d2
-        d3 = dphi + h2 * k2d
-        k3d = nm1 * tm * d3 - sigma * p3
-        p4 = phi + h * d3
-        d4 = dphi + h * k3d
-        k4d = nm1 * t1 * d4 - sigma * p4
-        phi_prev, dphi_prev = phi, dphi
-        phi += h6 * (dphi + 2.0 * (d2 + d3) + d4)
-        dphi += h6 * (k1d + 2.0 * (k2d + k3d) + k4d)
-        phis[i + 1] = phi
-        dphis[i + 1] = dphi
-        if first_zero is None and not dphi > 0.0:
-            ddphi_prev = nm1 * t0 * dphi_prev - sigma * phi_prev
-            ddphi_cur = nm1 * t1 * dphi - sigma * phi
-            first_zero = _hermite_dphi_zero(h, i * h, dphi_prev, ddphi_prev, dphi, ddphi_cur)
+    if i >= 0:
+        p0, p1 = phis[i : i + 2].tolist()
+        d0, d1 = dphis[i : i + 2].tolist()
+        dd0 = nm1 * tks[2 * i] * d0 - sigma * p0
+        dd1 = nm1 * tks[2 * i + 2] * d1 - sigma * p1
+        first_zero = _hermite_dphi_zero(h, i * h, d0, dd0, d1, dd1)
     grid = np.arange(steps + 1) * h
     return PhiTrajectory(sigma=sigma, grid=grid, phi=phis, dphi=dphis, first_dphi_zero=first_zero)
 
@@ -192,15 +200,17 @@ def _bisect_level(
     tol_sigma: float,
     steps: int,
     hint: tuple[float, float] | None,
+    mode: int = 0,
 ) -> tuple[float, float, float, int]:
-    """One bisection pass at a fixed grid; returns (mu, lo, hi, evaluations)."""
-    half = params.half_diameter
-    nm1 = float(params.n - 1)
-    h = half / steps
-    tks = _tk_half_table(params.kappa, half, steps)
+    """One bisection pass at a fixed grid; returns (mu, lo, hi, evaluations).
+
+    The predicate "phi' changes sign at most ``mode`` times" holds below the
+    eigenvalue of odd Neumann mode ``mode`` and fails above it.
+    """
+    nm1, h, tks = _shooting_grid(params, steps)
 
     def pred(sigma: float) -> bool:
-        return _dphi_positive(nm1, sigma, h, steps, tks)
+        return _shoot(nm1, sigma, h, steps, tks, mode)[0] <= mode
 
     evals = 0
     lo = hi = None
@@ -211,7 +221,7 @@ def _bisect_level(
             lo, hi = cand_lo, cand_hi
     if lo is None:
         # sigma = 0 always satisfies the predicate: phi' solves a first-order
-        # linear equation with positive initial data.
+        # linear equation with positive initial data, so it never changes sign.
         lo = 0.0
         hi = max(1.0, params.n * max(params.kappa, 0.0) + 4.0 * (math.pi / params.diameter) ** 2)
         while pred(hi):
@@ -220,11 +230,14 @@ def _bisect_level(
             hi *= 2.0
             if hi > _SIGMA_CAP:
                 raise NonConvergenceError(
-                    "positivity of phi' persisted up to sigma = %g; input is ill-posed" % _SIGMA_CAP
+                    "phi' kept at most %d sign changes up to sigma = %g; input is ill-posed"
+                    % (mode, _SIGMA_CAP)
                 )
         evals += 1
     while hi - lo > tol_sigma:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: the bracket cannot shrink further
         if pred(mid):
             lo = mid
         else:
@@ -286,48 +299,13 @@ def sphere_limit_eigenvalue(n: int, kappa: float) -> float:
     return n * kappa
 
 
-def _fd_weights(params: ModelParams, gridpoints: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Node masses, midpoint weights, and spacing of the finite-volume grid.
-
-    ``gridpoints`` counts cells, giving gridpoints + 1 nodes on [-D/2, D/2]
-    (so doubling it halves the spacing exactly, which Richardson pairing and
-    order checks rely on).  The weight is w = ck^(n-1); midpoint values serve
-    the fluxes and the end cells carry half mass (Neumann closure by ghost
-    reflection).
-    """
-    n_nodes = gridpoints + 1
-    d = params.diameter
-    dx = d / (n_nodes - 1)
-    x = -0.5 * d + np.arange(n_nodes) * dx
-    xm = x[:-1] + 0.5 * dx
-    p = params.n - 1
-    w = ck_array(params.kappa, x) ** p
-    wm = ck_array(params.kappa, xm) ** p
-    mass = w.copy()
-    mass[0] *= 0.5
-    mass[-1] *= 0.5
-    return mass, wm, dx
-
-
-def _fd_tridiagonal(params: ModelParams, gridpoints: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal (diag, offdiag, node masses) of the weight form.
-
-    Finite-volume discretization of -(w*phi')'/w, symmetrized with the node
-    masses so the spectrum is real; used for inverse-iteration eigenvectors.
-    """
-    mass, wm, dx = _fd_weights(params, gridpoints)
-    n_nodes = gridpoints + 1
-    diag = np.empty(n_nodes)
-    diag[0] = wm[0]
-    diag[-1] = wm[-1]
-    diag[1:-1] = wm[:-1] + wm[1:]
-    diag /= dx * dx * mass
-    off = -wm / (dx * dx * np.sqrt(mass[:-1] * mass[1:]))
-    return diag, off, mass
-
-
 def _fd_flux_factor(params: ModelParams, gridpoints: int) -> np.ndarray:
     """Golub-Kahan off-diagonal sequence of the discrete operator.
+
+    ``gridpoints`` counts cells on [-D/2, D/2] (so doubling it halves the
+    spacing exactly, which Richardson pairing and order checks rely on).  The
+    fluxes use midpoint weights wm, the node masses are w = ck^(n-1), halved
+    in the end cells (Neumann closure by ghost reflection).
 
     The stiffness matrix factors as K = B^T diag(wm)/dx^2 B with B the
     bidiagonal difference matrix, so the symmetrized operator is G^T G with a
@@ -335,13 +313,22 @@ def _fd_flux_factor(params: ModelParams, gridpoints: int) -> np.ndarray:
     and the zero-diagonal Golub-Kahan tridiagonal of G allows a Sturm count
     without subtracting the O(1) shift from O(1/dx^2) diagonal entries -- the
     cancellation that otherwise floors absolute accuracy at eps*||A||.
-    Returns the interleaved |G[i,i]|, |G[i,i+1]| sequence.
+    Returns the interleaved |G[i,i]|, |G[i,i+1]| = sqrt(wm/mass)/dx.  Only the
+    ratios ck(x +- e)/ck(x) = ck(e) -+ tk(x)*sk(e) enter, never w itself,
+    which overflows for kappa < 0 and large D.
     """
-    mass, wm, dx = _fd_weights(params, gridpoints)
-    root = np.sqrt(wm) / dx
+    d = params.diameter
+    dx = d / gridpoints
+    x = -0.5 * d + np.arange(gridpoints + 1) * dx
+    kappa = params.kappa
+    p = params.n - 1
+    e = 0.5 * dx
+    cke = ck(kappa, e)
+    tsk = tk_array(kappa, x) * sk(kappa, e)
     c = np.empty(2 * gridpoints)
-    c[0::2] = root / np.sqrt(mass[:-1])
-    c[1::2] = root / np.sqrt(mass[1:])
+    c[0::2] = np.sqrt((cke - tsk[:-1]) ** p) / dx
+    c[1::2] = np.sqrt((cke + tsk[1:]) ** p) / dx
+    c[[0, -1]] *= math.sqrt(2.0)  # half mass in the end cells
     return c
 
 
@@ -392,75 +379,14 @@ def sl_fd_oracle(params: ModelParams, gridpoints: int) -> float:
     if gridpoints < 64:
         raise InvalidParamsError(f"gridpoints must be >= 64, got {gridpoints}")
     sigma = _fd_singular_value(params, gridpoints, 1)
-    return sigma * sigma
+    value = sigma * sigma
+    if not (value > 0.0 and math.isfinite(value)):
+        raise NonConvergenceError("FD oracle value %r is not finite and positive" % value)
+    return value
 
 
 def sl_fd_oracle_extrapolated(params: ModelParams, gridpoints: int) -> float:
-    """Richardson extrapolation of the oracle over exactly-halved spacings.
-
-    Doubling the cell count halves the spacing exactly, cancelling the
-    second-order error term.
-    """
+    """Richardson extrapolation cancelling the second-order error term."""
     coarse = sl_fd_oracle(params, gridpoints)
     fine = sl_fd_oracle(params, 2 * gridpoints)
     return (4.0 * fine - coarse) / 3.0
-
-
-def _thomas_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Tridiagonal solve with a pivot floor (inverse-iteration workhorse)."""
-    n = len(diag)
-    c = np.empty(n - 1)
-    d = np.empty(n)
-    piv = diag[0]
-    if abs(piv) < 1e-300:
-        piv = 1e-300
-    c[0] = off[0] / piv
-    d[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - off[i - 1] * c[i - 1]
-        if abs(piv) < 1e-300:
-            piv = 1e-300
-        if i < n - 1:
-            c[i] = off[i] / piv
-        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / piv
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
-
-
-def sl_fd_modes(params: ModelParams, gridpoints: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First ``count`` non-constant Neumann eigenpairs of the discrete operator.
-
-    Eigenvalues come from Sturm bisection, eigenvectors from inverse iteration
-    on the symmetrized tridiagonal matrix; vectors are returned in node space,
-    sup-normalized, with a deterministic sign convention.
-    """
-    if gridpoints < 64:
-        raise InvalidParamsError(f"gridpoints must be >= 64, got {gridpoints}")
-    if count < 1:
-        raise InvalidParamsError(f"count must be >= 1, got {count}")
-    diag, off, mass = _fd_tridiagonal(params, gridpoints)
-    n_nodes = gridpoints + 1
-    evals = np.empty(count)
-    evecs = np.empty((count, n_nodes))
-    js = np.arange(n_nodes)
-    for k in range(1, count + 1):
-        sigma = _fd_singular_value(params, gridpoints, k)
-        lam = sigma * sigma
-        evals[k - 1] = lam
-        # cos profile in node index: a good overlap with the k-th mode
-        v = np.cos(k * math.pi * js / (n_nodes - 1))
-        shifted = diag - lam
-        for _ in range(3):
-            v = _thomas_solve(shifted, off, v)
-            v /= np.max(np.abs(v))
-        phi = v / np.sqrt(mass)
-        phi /= np.max(np.abs(phi))
-        # orient deterministically: the right endpoint is a Neumann extremum
-        anchor = phi[-1] if abs(phi[-1]) > 1e-6 else phi[np.argmax(np.abs(phi))]
-        if anchor < 0:
-            phi = -phi
-        evecs[k - 1] = phi
-    return evals, evecs

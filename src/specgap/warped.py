@@ -21,7 +21,7 @@ import numpy as np
 from .model import InvalidParamsError, ModelParams
 from .moc_pde import Flux, Profile, StepControls, _march, _resolve_epsilon
 from .specialfn import ck, tk_array
-from .sturm import first_eigenvalue, integrate_phi, sl_fd_modes
+from .sturm import _bisect_level, first_eigenvalue, integrate_phi
 
 logger = logging.getLogger(__name__)
 
@@ -274,27 +274,23 @@ def seeded_odd_initial_data(
 ) -> tuple[np.ndarray, float]:
     """Deterministic odd initial data with a guaranteed slowest-mode component.
 
-    Builds the odd extension of the shooting eigenfunction plus a seeded
-    combination of the first five discrete Neumann modes, then projects onto
-    odd functions.  The unit coefficient on the eigenfunction survives the
-    projection, so the decay of generic data is governed by the first
-    nonzero eigenvalue, which is returned alongside the samples.
+    Sums the sup-normalized shooting eigenfunctions of the odd Neumann modes
+    1, 3 and 5 on [0, D/2] with coefficients 1 + c0, c1, c2 (c seeded from
+    [-0.3, 0.3]) and reflects the sum oddly onto the full interval.  The decay
+    of this generic data is governed by the first nonzero eigenvalue, which
+    is returned alongside the samples.
     """
     if cells < 64 or cells % 2 != 0:
         raise InvalidParamsError(f"cells must be even and >= 64, got {cells}")
-    eig = first_eigenvalue(params, 1e-7)
-    traj = integrate_phi(params, eig.bracket_lo, cells // 2)
-    base = np.zeros(cells + 1)
-    center = cells // 2
-    scale = float(np.max(np.abs(traj.phi)))
-    base[center:] = traj.phi / scale
-    base[:center] = -traj.phi[:0:-1] / scale
-    _, modes = sl_fd_modes(params, cells, 5)
+    mu = first_eigenvalue(params, 1e-7).mu
+    steps = cells // 2
+    modes = np.empty((3, steps + 1))
+    for j in range(3):
+        _, lo, _, _ = _bisect_level(params, 1e-8, steps, None, j)
+        phi = integrate_phi(params, lo, steps).phi
+        modes[j] = phi / np.max(np.abs(phi))
     rng = np.random.default_rng(seed)
-    coeffs = 0.3 * rng.uniform(-1.0, 1.0, size=5)
-    u = base + coeffs @ modes
-    u = 0.5 * (u - u[::-1])
-    sup = float(np.max(np.abs(u)))
-    if sup == 0.0:
-        raise InvalidParamsError("seeded data degenerated to zero")
-    return u / sup, eig.mu
+    coeffs = 0.3 * rng.uniform(-1.0, 1.0, size=3)
+    right = modes[0] + coeffs @ modes
+    u = np.concatenate([-right[:0:-1], right])
+    return u / np.max(np.abs(u)), mu

@@ -6,15 +6,16 @@ import pytest
 from specgap import (
     InvalidParamsError,
     ModelParams,
+    NonConvergenceError,
     PoleError,
     first_eigenvalue,
     integrate_phi,
-    sl_fd_modes,
     sl_fd_oracle,
     sl_fd_oracle_extrapolated,
     sphere_limit_eigenvalue,
 )
 from specgap.specialfn import tk
+from specgap.sturm import _bisect_level, _fd_singular_value
 
 
 def mu_closed_form_n3(kappa: float, diameter: float) -> float:
@@ -139,6 +140,11 @@ class TestFirstEigenvalue:
         assert traj_hi.first_dphi_zero is not None
         assert traj_hi.first_dphi_zero <= 1.25 + 1e-12
 
+    def test_numpy_scalar_params(self):
+        ref = first_eigenvalue(ModelParams(3, -1.0, 2.0), 1e-9)
+        res = first_eigenvalue(ModelParams(3, np.float64(-1.0), np.float64(2.0)), 1e-9)
+        assert (res.mu, res.bracket_lo, res.bracket_hi) == (ref.mu, ref.bracket_lo, ref.bracket_hi)
+
     def test_scaling_law(self):
         base = first_eigenvalue(ModelParams(3, -0.5, 2.0), 1e-9).mu
         for c in (0.5, 2.0, 3.0):
@@ -210,26 +216,57 @@ class TestFdOracle:
         with pytest.raises(InvalidParamsError):
             sl_fd_oracle(ModelParams(2, 0.0, 1.0), 32)
 
+    def test_large_diameter_weights_do_not_overflow(self):
+        # ck^(n-1) overflows at D = 800; the flux factor must not
+        try:
+            val = sl_fd_oracle(ModelParams(3, -1.0, 800.0), 64)
+        except NonConvergenceError:
+            pass
+        else:
+            assert math.isfinite(val) and val > 0.0
 
-class TestFdModes:
-    def test_modes_parity_and_eigenvalues(self):
-        params = ModelParams(3, -1.0, 2.0)
-        evals, evecs = sl_fd_modes(params, 256, 3)
-        assert evals[0] == pytest.approx(sl_fd_oracle(params, 256), rel=1e-10)
-        assert np.all(np.diff(evals) > 0)
-        for k, vec in enumerate(evecs, start=1):
-            assert np.max(np.abs(vec)) == pytest.approx(1.0)
-            flipped = vec[::-1]
-            if k % 2 == 1:
-                np.testing.assert_allclose(flipped, -vec, atol=1e-7)
-            else:
-                np.testing.assert_allclose(flipped, vec, atol=1e-7)
+    def test_exponentially_small_values(self):
+        # reference values computed from the weights w = ck^(n-1) directly
+        val = sl_fd_oracle_extrapolated(ModelParams(10, -1.0, 20.0), 256)
+        assert val == pytest.approx(8.786645013290315e-36, rel=1e-10)
+        val = sl_fd_oracle_extrapolated(ModelParams(3, -100.0, 10.0), 256)
+        assert val == pytest.approx(2.973918473714297e-41, rel=1e-10)
+
+
+class TestShootingModes:
+    """Odd Neumann mode j: bisection on "phi' changes sign at most j times"."""
+
+    params = ModelParams(3, -1.0, 2.0)
+
+    def mode(self, j: int, steps: int, tol_sigma: float = 1e-12):
+        mu, lo, _, _ = _bisect_level(self.params, tol_sigma, steps, None, j)
+        return mu, integrate_phi(self.params, lo, steps)
+
+    def test_mode_zero_is_first_eigenvalue(self):
+        res = first_eigenvalue(self.params, 1e-9)
+        mu, _ = self.mode(0, res.steps, tol_sigma=1e-9 / 8)
+        assert abs(mu - res.mu) <= 1e-9 / 4
+
+    def test_eigenvalues_increase_and_phi_prime_has_j_sign_changes(self):
+        mus = []
+        for j in range(3):
+            mu, traj = self.mode(j, 1024)
+            assert np.count_nonzero(np.diff(traj.dphi > 0.0)) == j
+            mus.append(mu)
+        assert np.all(np.diff(mus) > 0)
+
+    def test_modes_match_fd_oracle(self):
+        for j in range(3):
+            mu, _ = self.mode(j, 1024)
+            coarse = _fd_singular_value(self.params, 512, 2 * j + 1) ** 2
+            fine = _fd_singular_value(self.params, 1024, 2 * j + 1) ** 2
+            oracle = (4.0 * fine - coarse) / 3.0
+            assert abs(mu - oracle) / oracle < 1e-8
 
     def test_first_mode_matches_shooting_eigenfunction(self):
-        params = ModelParams(3, -1.0, 2.0)
-        res = first_eigenvalue(params, 1e-9)
-        _, evecs = sl_fd_modes(params, 512, 1)
-        mode = evecs[0][256:]  # right half, s in [0, 1]
+        res = first_eigenvalue(self.params, 1e-9)
+        _, traj = self.mode(0, 256, tol_sigma=1e-9 / 8)
+        mode = traj.phi / np.max(np.abs(traj.phi))  # s in [0, 1]
         phi = res.trajectory.phi
         ref = np.interp(np.arange(257) / 256.0, res.trajectory.grid, phi / np.max(np.abs(phi)))
         np.testing.assert_allclose(mode, ref, atol=5e-5)

@@ -20,7 +20,6 @@ from specgap import (
     radial_flow,
     ricci_bounds,
     seeded_odd_initial_data,
-    sl_fd_modes,
     verify_moc,
 )
 from specgap.specialfn import ck
@@ -159,8 +158,9 @@ class TestRadialFlow:
         traj = integrate_phi(params, res.bracket_lo, cells // 2)
         base = np.concatenate([-traj.phi[:0:-1], traj.phi])
         base /= np.max(np.abs(base))
-        _, modes = sl_fd_modes(params, cells, 2)
-        u0 = base + 0.3 * modes[1]
+        # even Neumann contaminant (second full-interval mode of the flat case)
+        s = -params.half_diameter + np.arange(cells + 1) * (params.diameter / cells)
+        u0 = base + 0.3 * np.cos(2.0 * math.pi * s / params.diameter)
         t_end = 2 * 3.0 / res.mu
         times = np.linspace(t_end / 40, t_end, 40).tolist()
         sol = radial_flow(WarpedMetric(params, 1.0), Flux.heat(), u0, t_end,
@@ -269,6 +269,14 @@ class TestSeededData:
         assert np.max(np.abs(u_a)) == pytest.approx(1.0)
         u_c, _ = seeded_odd_initial_data(params, 128, seed=8)
         assert not np.array_equal(u_a, u_c)
+
+    def test_small_diameter_terminates(self):
+        # mode 2 sits near 1e8, where adjacent floats are wider than the bisection width
+        d = 1.5e-3
+        u, mu = seeded_odd_initial_data(ModelParams(3, 0.0, d), 128, seed=0)
+        assert mu == pytest.approx(math.pi**2 / d**2, rel=1e-9)
+        np.testing.assert_array_equal(u[::-1], -u)
+        assert np.max(np.abs(u)) == pytest.approx(1.0)
 
     def test_validation(self):
         params = ModelParams(2, -1.0, math.pi)
