@@ -32,22 +32,6 @@ from .warped import (
     verify_moc,
 )
 
-_DEFAULTS = {
-    "n": 3,
-    "kappa": 0.0,
-    "diameter": 2.0,
-    "flux": "heat",
-    "tol": 1e-9,
-    "grid": 4096,
-    "cfl": 0.4,
-    "seed": 0,
-    "format": "json",
-}
-
-# evolution subcommands get a usable default resolution (explicit stepping at
-# 4096 cells would take hours); the eigen-side default stays at 4096
-_EVOLUTION_GRID_DEFAULT = 256
-
 _DECAY_WINDOW = 0.5
 _DECAY_SAMPLES = 48
 
@@ -185,6 +169,8 @@ def cmd_bounds(args):
 
 def _default_modulus(params: ModelParams, cells: int, seed: int) -> Profile:
     """Seeded concave nondecreasing initial modulus with unit oscillation."""
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
     grid = Grid1D(params.half_diameter, cells)
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.2, 1.0, size=4)
@@ -339,14 +325,34 @@ def cmd_sweep(args):
     return {"rows": rows}, (fields, rows)
 
 
+# each flag is declared only on the subcommands whose command function reads it
+_FLAGS = {
+    "--flux": dict(default="heat", help="heat or plap:P[:EPS] (default heat)"),
+    "--tol": dict(type=float, default=1e-9, help="solver tolerance (default 1e-9)"),
+    "--grid": dict(type=int, default=256, help="grid cells (default 256)"),
+    "--t-end": dict(dest="t_end", type=float, default=None,
+                    help="evolution horizon (evolve: required; decay: 6/mu; verify-moc: 0.4)"),
+    "--cfl": dict(type=float, default=0.4, help="fraction of the stable time step (default 0.4)"),
+    "--seed": dict(type=int, default=0, help="nonnegative seed for initial data (default 0)"),
+    "--warp-a": dict(dest="warp_a", type=float, default=None,
+                     help="warp amplitude (default min(1, 1/(2*max(kappa, 0))))"),
+}
+_EIGEN_FLAGS = ("--tol",)
+_EVOLUTION_FLAGS = ("--flux", "--grid", "--t-end", "--cfl", "--seed")
+
+# subcommand -> (command function, help, flags beyond n/kappa/diameter/out/format)
 _COMMANDS = {
-    "eigen": cmd_eigen,
-    "bounds": cmd_bounds,
-    "evolve": cmd_evolve,
-    "decay": cmd_decay,
-    "verify-moc": cmd_verify_moc,
-    "ricci": cmd_ricci,
-    "sweep": cmd_sweep,
+    "eigen": (cmd_eigen, "first nonzero Neumann eigenvalue by shooting", _EIGEN_FLAGS),
+    "bounds": (cmd_bounds, "classical closed-form bounds next to the sharp value",
+               _EIGEN_FLAGS),
+    "evolve": (cmd_evolve, "evolve a seeded concave modulus profile on [0, D/2]",
+               _EVOLUTION_FLAGS),
+    "decay": (cmd_decay, "oscillation decay rate of seeded odd data on the model geometry",
+              _EVOLUTION_FLAGS),
+    "verify-moc": (cmd_verify_moc, "two-point modulus check: radial flow against evolved modulus",
+                   _EVOLUTION_FLAGS),
+    "ricci": (cmd_ricci, "Ricci admissibility report of the model metric", ("--warp-a",)),
+    "sweep": (cmd_sweep, "eigenvalue/bounds table over a parameter lattice", _EIGEN_FLAGS),
 }
 
 
@@ -358,55 +364,30 @@ def build_parser() -> argparse.ArgumentParser:
             "eigenvalue, comparison-equation evolutions, and model-geometry checks."
         ),
         epilog=(
-            "Defaults: tol=1e-9, grid=4096 (eigen/bounds/sweep; evolution "
-            "subcommands use 256), flux=heat, cfl=0.4, format=json, seed=0, "
-            "n=3, kappa=0, diameter=2."
+            "Each subcommand takes only the flags it reads; see 'specgap SUBCOMMAND "
+            "--help'.  Defaults: n=3, kappa=0, diameter=2, tol=1e-9, grid=256, "
+            "flux=heat, cfl=0.4, seed=0, format=json."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "eigen": "first nonzero Neumann eigenvalue by shooting",
-        "bounds": "classical closed-form bounds next to the sharp value",
-        "evolve": "evolve a seeded concave modulus profile on [0, D/2]",
-        "decay": "oscillation decay rate of seeded odd data on the model geometry",
-        "verify-moc": "two-point modulus check between radial flow and evolved modulus",
-        "ricci": "Ricci admissibility report of the model metric",
-        "sweep": "eigenvalue/bounds table over a parameter lattice",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "sweep":
-            p.add_argument("--n", default=str(_DEFAULTS["n"]),
-                           help="comma-separated dimensions (default 3)")
-            p.add_argument("--kappa", default=str(_DEFAULTS["kappa"]),
+            p.add_argument("--n", default="3", help="comma-separated dimensions (default 3)")
+            p.add_argument("--kappa", default="0",
                            help="comma-separated curvature bounds (default 0)")
-            p.add_argument("--diameter", default=str(_DEFAULTS["diameter"]),
+            p.add_argument("--diameter", default="2",
                            help="comma-separated diameters (default 2)")
         else:
-            p.add_argument("--n", type=int, default=_DEFAULTS["n"],
-                           help="dimension (default 3)")
-            p.add_argument("--kappa", type=float, default=_DEFAULTS["kappa"],
+            p.add_argument("--n", type=int, default=3, help="dimension (default 3)")
+            p.add_argument("--kappa", type=float, default=0.0,
                            help="Ricci curvature bound (default 0)")
-            p.add_argument("--diameter", type=float, default=_DEFAULTS["diameter"],
+            p.add_argument("--diameter", type=float, default=2.0,
                            help="diameter bound (default 2)")
-        p.add_argument("--flux", default=_DEFAULTS["flux"],
-                       help="heat or plap:P[:EPS] (default heat)")
-        p.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
-                       help="solver tolerance (default 1e-9)")
-        default_grid = _EVOLUTION_GRID_DEFAULT if name in ("evolve", "decay", "verify-moc") \
-            else _DEFAULTS["grid"]
-        p.add_argument("--grid", type=int, default=default_grid,
-                       help="grid cells (default %d)" % default_grid)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None,
-                       help="evolution horizon (decay default: twice 3/mu)")
-        p.add_argument("--cfl", type=float, default=_DEFAULTS["cfl"],
-                       help="explicit step fraction of the stability bound (default 0.4)")
-        p.add_argument("--seed", type=int, default=_DEFAULTS["seed"],
-                       help="seed for randomized initial data (default 0)")
-        p.add_argument("--warp-a", dest="warp_a", type=float, default=None,
-                       help="warp amplitude (default min(1, 1/(2*max(kappa, 0))))")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=_DEFAULTS["format"],
+        p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
     return parser
 
@@ -414,16 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        parse_flux(args.flux)  # reject malformed specs uniformly
-        report, (fieldnames, rows) = _COMMANDS[args.command](args)
+        report, (fieldnames, rows) = _COMMANDS[args.command][0](args)
         if args.format == "json":
             text = render_json(report) + "\n"
         else:
             text = render_csv(fieldnames, rows)
-    except InvalidParamsError as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
-        return 2
-    except PoleError as exc:
+    except (InvalidParamsError, PoleError) as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

@@ -38,6 +38,9 @@ _AUTO_EPS_SCALE = 1e-8
 
 _MAX_STEPS = 1 << 30
 
+# Largest flux coefficient alpha the explicit stepper (dt ~ h^2/alpha) accepts.
+_MAX_ALPHA = 1e8
+
 
 @dataclass(frozen=True)
 class Flux:
@@ -46,7 +49,8 @@ class Flux:
     ``epsilon`` regularizes the p-Laplacian gradient magnitude as
     m = sqrt(q^2 + epsilon^2).  ``epsilon=None`` requests the documented
     default (relative to the evolved data) when used in an evolution; direct
-    coefficient evaluation treats ``None`` as the unregularized pair.
+    coefficient evaluation treats ``None`` as the unregularized pair.  A valid
+    p = 2 flux is stored as the heat flux (alpha = beta = 1 for every epsilon).
     """
 
     kind: str
@@ -61,6 +65,10 @@ class Flux:
                 raise InvalidParamsError(f"p-Laplacian flux requires p > 1, got {self.p!r}")
             if self.epsilon is not None and not (self.epsilon >= 0.0):
                 raise InvalidParamsError(f"epsilon must be >= 0, got {self.epsilon!r}")
+            if self.p == 2.0:
+                object.__setattr__(self, "kind", _HEAT)
+                object.__setattr__(self, "p", None)
+                object.__setattr__(self, "epsilon", None)
 
     @classmethod
     def heat(cls) -> "Flux":
@@ -83,8 +91,6 @@ def flux_eval(flux: Flux, q: float) -> tuple[float, float]:
     eps = flux.epsilon if flux.epsilon is not None else 0.0
     m = math.hypot(q, eps)
     if m == 0.0:
-        if p == 2.0:
-            return 1.0, 1.0
         if p > 2.0:
             return 0.0, 0.0
         raise DegenerateFluxError(
@@ -152,7 +158,8 @@ class StepControls:
     lets two evolutions on different grids share identical time stamps.
     ``right_flux``/``left_flux`` prescribe time-dependent Neumann data at the
     interval ends (zero when omitted); the left value is only consulted for
-    full-interval evolutions, which have no pivot at s = 0.
+    full-interval evolutions, which have no pivot at s = 0.  A flux coefficient
+    alpha above 1e8 raises :class:`CFLViolationError` whatever the controls.
     """
 
     cfl: float = 0.4
@@ -160,7 +167,6 @@ class StepControls:
     fixed_dt: float | None = None
     right_flux: Callable[[float], float] | None = None
     left_flux: Callable[[float], float] | None = None
-    max_alpha: float = 1e8
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.5):
@@ -235,10 +241,10 @@ def _march(
                 mp = (q * q + eps2) ** plap_exp
             alpha = (flux.p - 1.0) * mp
             max_alpha = float(np.max(alpha))
-            if not max_alpha <= controls.max_alpha:
+            if not max_alpha <= _MAX_ALPHA:
                 raise CFLViolationError(
                     "max flux coefficient %g exceeds the stability bound %g at t = %g"
-                    % (max_alpha, controls.max_alpha, t)
+                    % (max_alpha, _MAX_ALPHA, t)
                 )
             du = alpha * lap - nm1_tk * (mp * q)
         if max_alpha == 0.0:

@@ -55,7 +55,10 @@ class PhiTrajectory:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged eigenvalue with its final bisection bracket."""
+    """Converged eigenvalue with its final bisection bracket and grid.
+
+    ``integrate_phi(params, bracket_lo, steps)`` gives the eigenfunction.
+    """
 
     mu: float
     bracket_lo: float
@@ -63,7 +66,6 @@ class EigenResult:
     iterations: int
     tol: float
     steps: int
-    trajectory: PhiTrajectory
 
 
 def _shooting_grid(params: ModelParams, steps: int) -> tuple[float, float, list[float]]:
@@ -266,7 +268,6 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
         mus.append(mu)
         deltas = [abs(b - a) for a, b in zip(mus[:-1], mus[1:])]
         if len(deltas) >= 2 and deltas[-1] < tol / 4 and deltas[-2] < tol / 4:
-            trajectory = integrate_phi(params, lo, steps)
             return EigenResult(
                 mu=mu,
                 bracket_lo=lo,
@@ -274,7 +275,6 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
                 iterations=evals,
                 tol=hi - lo,
                 steps=steps,
-                trajectory=trajectory,
             )
         margin = max(64.0 * tol, 1e-6 * max(1.0, abs(mu)))
         hint = (lo - margin, hi + margin)

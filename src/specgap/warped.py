@@ -282,6 +282,8 @@ def seeded_odd_initial_data(
     """
     if cells < 64 or cells % 2 != 0:
         raise InvalidParamsError(f"cells must be even and >= 64, got {cells}")
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
     mu = first_eigenvalue(params, 1e-7).mu
     steps = cells // 2
     modes = np.empty((3, steps + 1))

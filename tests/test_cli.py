@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -7,6 +8,21 @@ from specgap.cli import main, parse_flux, render_json
 from specgap import InvalidParamsError
 
 PI = "3.141592653589793"
+
+ALL_FLAGS = ("--n", "--kappa", "--diameter", "--flux", "--tol", "--grid", "--t-end",
+             "--cfl", "--seed", "--warp-a", "--out", "--format")
+COMMON = ("--n", "--kappa", "--diameter", "--out", "--format")
+EVOLUTION = COMMON + ("--flux", "--grid", "--t-end", "--cfl", "--seed")
+READ_FLAGS = {
+    "eigen": COMMON + ("--tol",),
+    "bounds": COMMON + ("--tol",),
+    "sweep": COMMON + ("--tol",),
+    "evolve": EVOLUTION,
+    "decay": EVOLUTION,
+    "verify-moc": EVOLUTION,
+    "ricci": COMMON + ("--warp-a",),
+}
+UNREAD_FLAGS = [(c, f) for c, read in READ_FLAGS.items() for f in ALL_FLAGS if f not in read]
 
 
 def run_cli(capsys, *argv):
@@ -193,9 +209,35 @@ class TestOutputHandling:
         assert "cannot write" in err
 
     def test_unknown_flux_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "eigen", "--flux", "advection")
+        code, _, err = run_cli(capsys, "evolve", "--t-end", "0.1", "--flux", "advection")
         assert code == 2
         assert "flux" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--t-end", "0.1", "--seed", "-1"),
+        ("decay", "--seed", "-3"),
+        ("verify-moc", "--seed", "-2"),
+    ])
+    def test_negative_seed_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid parameters:") and "seed" in err
+
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_unread_flag_is_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", READ_FLAGS)
+    def test_help_lists_exactly_the_flags_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE))
+        assert listed == set(READ_FLAGS[command])
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

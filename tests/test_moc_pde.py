@@ -43,6 +43,12 @@ class TestFluxEval:
         assert flux_eval(Flux.plaplacian(2.0, 0.0), 0.0) == (1.0, 1.0)
         assert flux_eval(Flux.plaplacian(2.0, 0.0), 3.0) == (1.0, 1.0)
 
+    def test_p2_is_canonicalized_to_heat(self):
+        assert Flux.plaplacian(2.0, 0.5).is_heat
+        assert Flux.plaplacian(2.0) == Flux.heat()
+        with pytest.raises(InvalidParamsError):
+            Flux.plaplacian(2.0, -1.0)
+
     def test_degenerate_fast_diffusion(self):
         with pytest.raises(DegenerateFluxError):
             flux_eval(Flux.plaplacian(1.5, 0.0), 0.0)

@@ -131,10 +131,11 @@ class TestFirstEigenvalue:
         assert res.bracket_hi - res.bracket_lo <= 1e-9
         assert res.tol == res.bracket_hi - res.bracket_lo
         assert res.bracket_lo <= res.mu <= res.bracket_hi
-        # predicate holds at bracket_lo: returned trajectory has positive phi'
-        assert res.trajectory.sigma == res.bracket_lo
-        assert np.all(res.trajectory.dphi > 0)
-        assert res.trajectory.first_dphi_zero is None
+        # predicate holds at bracket_lo: the final-grid trajectory has positive phi'
+        traj_lo = integrate_phi(ModelParams(4, -0.7, 2.5), res.bracket_lo, res.steps)
+        assert traj_lo.sigma == res.bracket_lo
+        assert np.all(traj_lo.dphi > 0)
+        assert traj_lo.first_dphi_zero is None
         # and fails at bracket_hi: a zero of phi' appears inside [0, D/2]
         traj_hi = integrate_phi(ModelParams(4, -0.7, 2.5), res.bracket_hi, res.steps)
         assert traj_hi.first_dphi_zero is not None
@@ -267,8 +268,9 @@ class TestShootingModes:
         res = first_eigenvalue(self.params, 1e-9)
         _, traj = self.mode(0, 256, tol_sigma=1e-9 / 8)
         mode = traj.phi / np.max(np.abs(traj.phi))  # s in [0, 1]
-        phi = res.trajectory.phi
-        ref = np.interp(np.arange(257) / 256.0, res.trajectory.grid, phi / np.max(np.abs(phi)))
+        traj_res = integrate_phi(self.params, res.bracket_lo, res.steps)
+        phi = traj_res.phi
+        ref = np.interp(np.arange(257) / 256.0, traj_res.grid, phi / np.max(np.abs(phi)))
         np.testing.assert_allclose(mode, ref, atol=5e-5)
 
 

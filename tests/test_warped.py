@@ -284,3 +284,5 @@ class TestSeededData:
             seeded_odd_initial_data(params, 127, seed=0)
         with pytest.raises(InvalidParamsError):
             seeded_odd_initial_data(params, 32, seed=0)
+        with pytest.raises(InvalidParamsError, match="seed"):
+            seeded_odd_initial_data(params, 128, seed=-1)
