@@ -216,9 +216,24 @@ def cmd_evolve(args):
 def cmd_decay(args):
     params = _params_from(args)
     flux = parse_flux(args.flux)
+    if not flux.is_heat:
+        raise InvalidParamsError(
+            "decay compares the fitted rate with the linear eigenvalue mu, which governs "
+            "the heat flux only; got --flux %s" % args.flux
+        )
     u0, mu = seeded_odd_initial_data(params, args.grid, args.seed)
     t_end = args.t_end if args.t_end is not None else 2.0 * 3.0 / mu
     times = [t_end * (k + 1) / _DECAY_SAMPLES for k in range(_DECAY_SAMPLES)]
+    # a fit window spanning less than one explicit step can snap all of its
+    # samples to the same step
+    dt = args.cfl * (params.diameter / args.grid) ** 2
+    fit_samples = int(round(_DECAY_WINDOW * _DECAY_SAMPLES))
+    if t_end * (fit_samples - 1) / _DECAY_SAMPLES < dt:
+        raise InvalidParamsError(
+            "--t-end %g is too short: the fitted last %d of %d samples span less than "
+            "one explicit step dt = cfl*(D/grid)^2 = %g; raise --t-end, or raise --grid "
+            "or lower --cfl" % (t_end, fit_samples, _DECAY_SAMPLES, dt)
+        )
     metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
     sol = radial_flow(metric, flux, u0, t_end, StepControls(cfl=args.cfl, output_times=times))
     osc = sol.oscillations()

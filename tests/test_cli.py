@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,16 @@ class TestEvolveCommand:
         assert code == 3
         assert "converge" in err
 
+    def test_step_budget_exits_3_before_stepping(self):
+        # 6.4e8 explicit steps: over the budget, so refused before the first step
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgap.cli", "evolve", "--t-end", "1e6", "--grid", "16"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "t_end = 1e+06" in proc.stderr and "640000000" in proc.stderr
+
     def test_csv_long_format(self, capsys):
         code, out, _ = run_cli(capsys, "evolve", "--n", "2", "--kappa", "0", "--diameter", "2",
                                "--grid", "32", "--t-end", "0.05", "--format", "csv")
@@ -129,6 +141,28 @@ class TestDecayCommand:
         _, out_c, _ = run_cli(capsys, *args, "--seed", "4")
         assert out_a == out_b
         assert out_a != out_c
+
+    def test_non_heat_flux_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "decay", "--grid", "64", "--flux", "plap:3")
+        assert code == 2
+        assert out == ""
+        assert "mu" in err and "plap:3" in err
+
+    def test_p2_flux_is_heat(self, capsys):
+        args = ["decay", "--grid", "64"]
+        code, out_p2, _ = run_cli(capsys, *args, "--flux", "plap:2")
+        _, out_heat, _ = run_cli(capsys, *args)
+        assert code == 0
+        payload = json.loads(out_p2)
+        assert payload["flux"] == "plap:2"
+        assert payload["relative_gap"] < 0.02
+        assert payload["osc"] == json.loads(out_heat)["osc"]
+
+    def test_t_end_shorter_than_a_step_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "decay", "--t-end", "1e-6", "--grid", "64")
+        assert code == 2
+        assert out == ""
+        assert "--t-end" in err and "0.000390625" in err
 
 
 class TestVerifyMocCommand:

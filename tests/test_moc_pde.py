@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,12 +13,47 @@ from specgap import (
     ModelParams,
     Profile,
     StepControls,
+    WarpedMetric,
     evolve,
     flux_eval,
     integrate_phi,
+    radial_flow,
 )
+from specgap.specialfn import tk_array
 
 MU_3_M1_2 = 1.682043320038555  # independent closed-form value, see test_sturm
+
+
+def reference_heat_march(u0, h, nm1_tk, t_end, controls, odd_pivot):
+    """The explicit heat scheme one step at a time, with snapped outputs."""
+    targets = list(controls.output_times) if controls.output_times is not None else [t_end]
+    gl = controls.left_flux or (lambda _t: 0.0)
+    gr = controls.right_flux or (lambda _t: 0.0)
+    dt = controls.fixed_dt if controls.fixed_dt is not None else controls.cfl * h * h
+    pending = deque(targets)
+    outputs = []
+    u = np.array(u0, dtype=float)
+    while pending and pending[0] <= 0.0:
+        pending.popleft()
+        outputs.append((0.0, u.copy()))
+    t, k = 0.0, 0
+    while pending:
+        ue = np.concatenate([[-u[1] if odd_pivot else u[1] - 2.0 * h * gl(t)], u,
+                             [u[-2] + 2.0 * h * gr(t)]])
+        q = (ue[2:] - ue[:-2]) / (2.0 * h)
+        lap = (ue[2:] - 2.0 * u + ue[:-2]) / (h * h)
+        u_new = u + dt * (lap - nm1_tk * q)
+        if odd_pivot:
+            u_new[0] = 0.0
+        t_new = (k + 1) * dt if controls.fixed_dt is not None else t + dt
+        while pending and t_new >= pending[0]:
+            target = pending.popleft()
+            if abs(t - target) <= abs(t_new - target):
+                outputs.append((t, u.copy()))
+            else:
+                outputs.append((t_new, u_new.copy()))
+        u, t, k = u_new, t_new, k + 1
+    return outputs
 
 
 def sine_profile(diameter: float, m: int) -> Profile:
@@ -147,6 +183,74 @@ class TestEvolveHeat:
         for a, b in zip(out_lo, out_hi):
             assert a.t == b.t
             assert np.all(a.values <= b.values + 1e-14)
+
+
+class TestHeatBlockMarch:
+    """The banded block march against the per-step reference loop."""
+
+    PARAMS = ModelParams(3, -1.0, 2.0)
+    SIGMA = 0.9 * MU_3_M1_2
+
+    @staticmethod
+    def output_times(dt):
+        # t = 0 twice, a duplicate, two outputs on consecutive steps, and gaps
+        # spanning many 64-step blocks
+        k = int(0.05 / dt)
+        return [0.0, 0.0, 0.01, 0.01, k * dt, (k + 1) * dt, 0.1, 0.25]
+
+    @staticmethod
+    def neumann_data(slope, sigma):
+        return lambda t: slope * math.exp(-sigma * t)
+
+    def check_against_reference(self, got_times, got_values, u0, h, nm1_tk, controls, pivot):
+        ref = reference_heat_march(u0, h, nm1_tk, 0.25, controls, pivot)
+        assert got_times == [t for t, _ in ref]
+        scale = np.max(np.abs(u0))
+        for values, (_, ref_values) in zip(got_values, ref):
+            assert np.max(np.abs(values - ref_values)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("cells", [16, 200])
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_evolve_matches_per_step_loop(self, cells, fixed, forced):
+        traj = integrate_phi(self.PARAMS, self.SIGMA, cells)
+        grid = Grid1D(self.PARAMS.half_diameter, cells)
+        phi0 = Profile(grid=grid, t=0.0, values=traj.phi)
+        dt = (0.3 if fixed else 0.4) * grid.h**2
+        controls = StepControls(
+            output_times=self.output_times(dt),
+            fixed_dt=dt if fixed else None,
+            right_flux=self.neumann_data(traj.dphi[-1], self.SIGMA) if forced else None,
+        )
+        out = evolve(Flux.heat(), self.PARAMS, phi0, 0.25, controls)
+        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, grid.nodes)
+        self.check_against_reference([p.t for p in out], [p.values for p in out],
+                                     phi0.values, grid.h, nm1_tk, controls, True)
+
+    @pytest.mark.parametrize("cells", [64, 200])
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("forcing", ["none", "left", "right", "both"])
+    def test_radial_flow_matches_per_step_loop(self, cells, fixed, forcing):
+        half = integrate_phi(self.PARAMS, self.SIGMA, cells // 2)
+        u0 = np.concatenate([-half.phi[:0:-1], half.phi])
+        g = self.neumann_data(half.dphi[-1], self.SIGMA)
+        h = self.PARAMS.diameter / cells
+        dt = (0.3 if fixed else 0.4) * h * h
+        controls = StepControls(
+            output_times=self.output_times(dt),
+            fixed_dt=dt if fixed else None,
+            left_flux=g if forcing in ("left", "both") else None,
+            right_flux=g if forcing in ("right", "both") else None,
+        )
+        sol = radial_flow(WarpedMetric(self.PARAMS, 1.0), Flux.heat(), u0, 0.25, controls)
+        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, sol.nodes)
+        self.check_against_reference(sol.times, sol.profiles, u0, h, nm1_tk, controls, False)
+
+    def test_fixed_dt_above_the_bound_raises(self):
+        phi0 = sine_profile(2.0, 32)
+        controls = StepControls(fixed_dt=0.41 * phi0.grid.h**2)
+        with pytest.raises(CFLViolationError):
+            evolve(Flux.heat(), ModelParams(2, 0.0, 2.0), phi0, 0.1, controls)
 
 
 class TestEvolvePLaplacian:
