@@ -8,13 +8,8 @@ beta = m^(p-2) with m the regularized gradient magnitude).
 Spatial discretization is centered second/first differences; the left end is
 an odd-reflection pivot (phi(0) = 0), the right end a ghost reflection that
 enforces the Neumann condition phi'(D/2) = g(t) (g = 0 by default).  Time
-stepping is explicit with dt = cfl * h^2 / max(alpha).
-
-On the heat flux dt and the step matrix M are fixed, so the same explicit
-scheme is applied 64 steps at a time, as one banded product with M^64,
-between output times.  Its step count ceil(t_last / dt) is known before the
-first step, and a run over the budget of 2^26 steps raises
-NonConvergenceError at once.  p-Laplacian steps are taken one at a time.
+stepping is explicit with dt = cfl * h^2 / max(alpha); ``_march`` states the
+stepping contract shared by ``evolve`` and the radial flow.
 """
 
 from __future__ import annotations
@@ -172,12 +167,9 @@ class StepControls:
     interval ends (zero when omitted); the left value is only consulted for
     full-interval evolutions, which have no pivot at s = 0.  A flux coefficient
     alpha above 1e8 raises :class:`CFLViolationError` whatever the controls.
-
-    Heat steps between output times are applied in banded blocks of 64
-    steps; the time stamps are those of the step-by-step scheme and the
-    values agree with it to roundoff.  A heat evolution needing more than
-    2^26 steps raises :class:`NonConvergenceError` before its first step; a
-    p-Laplacian one raises when its step count passes that budget.
+    Output times snap to the nearest step.  An evolution needing more than
+    2^26 steps, or whose state at an output is not finite, raises
+    :class:`NonConvergenceError`.
     """
 
     cfl: float = 0.4
@@ -193,58 +185,16 @@ class StepControls:
             raise InvalidParamsError(f"fixed_dt must be positive, got {self.fixed_dt}")
 
 
-def _resolve_epsilon(flux: Flux, osc: float, diameter: float) -> float:
-    if flux.is_heat:
-        return 0.0
-    if flux.epsilon is not None:
-        return flux.epsilon
-    return _AUTO_EPS_SCALE * osc / diameter
-
-
-def _march(
-    u0: np.ndarray,
-    h: float,
-    nm1_tk: np.ndarray,
-    flux: Flux,
-    eps: float,
-    t_end: float,
-    controls: StepControls,
-    odd_pivot: bool,
-) -> list[tuple[float, np.ndarray]]:
-    """Advance the explicit scheme, returning (snapped time, values) pairs.
-
-    Requested output times are snapped to the nearest completed step rather
-    than interpolated, so recorded state is always genuine scheme output.
-    Heat steps are applied in banded blocks of _BLOCK steps between output
-    times (see ``_march_heat``), and a heat run whose step count
-    ceil(t_last/dt) exceeds _MAX_STEPS raises :class:`NonConvergenceError`
-    before the first step.  p-Laplacian steps are taken one at a time, with
-    dt following the largest flux coefficient, and raise once the count
-    passes _MAX_STEPS.
-    """
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise InvalidParamsError(f"t_end must be positive, got {t_end}")
-    targets = list(controls.output_times) if controls.output_times is not None else [t_end]
-    if any(not math.isfinite(x) or x < 0 for x in targets):
-        raise InvalidParamsError("output times must be finite and nonnegative")
-    if any(b < a for a, b in zip(targets[:-1], targets[1:])):
-        raise InvalidParamsError("output times must be nondecreasing")
-    if targets and targets[-1] > t_end * (1.0 + 1e-12):
-        raise InvalidParamsError("output times may not exceed t_end")
-
-    pending = deque(targets)
-    outputs: list[tuple[float, np.ndarray]] = []
-    u = u0.astype(float, copy=True)
-    while pending and pending[0] <= 0.0:
-        pending.popleft()
-        outputs.append((0.0, u.copy()))
-    if not pending:
-        return outputs
-    if flux.is_heat:
-        _march_heat(u, h, nm1_tk, t_end, controls, odd_pivot, pending, outputs)
-    else:
-        _march_plaplacian(u, h, nm1_tk, flux, eps, controls, odd_pivot, pending, outputs)
-    return outputs
+def _step_size(controls: StepControls, stable_dt: float, t: float) -> float:
+    """The step at time t: ``fixed_dt`` if set, else stable_dt; raises if fixed_dt exceeds it."""
+    if controls.fixed_dt is None:
+        return stable_dt
+    if controls.fixed_dt > stable_dt * (1.0 + 1e-9):
+        raise CFLViolationError(
+            "fixed_dt %g exceeds the stability bound %g at t = %g"
+            % (controls.fixed_dt, stable_dt, t)
+        )
+    return controls.fixed_dt
 
 
 def _heat_step_band(h: float, nm1_tk: np.ndarray, dt: float, odd_pivot: bool) -> np.ndarray:
@@ -311,152 +261,157 @@ def _forcing_responses(band: np.ndarray, weight: float, right: bool, steps: int)
     return out
 
 
-def _march_heat(u, h, nm1_tk, t_end, controls, odd_pivot, pending, outputs):
-    """Heat steps u_(k+1) = M u_k + g_r(t_k) f_r + g_l(t_k) f_l, _BLOCK at a time.
+def _march(
+    u0: np.ndarray,
+    h: float,
+    nm1_tk: np.ndarray,
+    flux: Flux,
+    diameter: float,
+    t_end: float,
+    controls: StepControls,
+    odd_pivot: bool,
+) -> list[tuple[float, np.ndarray]]:
+    """Advance the explicit scheme, returning (snapped time, values) pairs.
 
-    dt and M are fixed.  A block of _BLOCK steps that reaches no output time
-    is one banded product: u gains (M^_BLOCK - I)(u - u[0]), which is exact on
-    constant data, plus the forcing responses times g(t_k .. t_(k+_BLOCK-1)).
-    A block that reaches an output time is stepped with the explicit stencil
-    one step at a time until that output is recorded.  Block times are
-    accumulated exactly as single steps accumulate them, so every time stamp
-    equals that of a per-step loop.
+    One step is u + dt*(alpha*u'' - nm1_tk*beta*u') on the ghost-cell
+    stencil, with dt = cfl*h^2/max(alpha) or ``fixed_dt`` checked against
+    that bound.  A p-Laplacian flux with epsilon = None is regularized by
+    _AUTO_EPS_SCALE * osc(u0) / diameter.  Requested output times are snapped
+    to the nearest completed step rather than interpolated, so recorded state
+    is always genuine scheme output; a recorded state that is not finite
+    raises :class:`NonConvergenceError`, as does a step count past _MAX_STEPS.
+
+    On the heat flux alpha = beta = 1, so dt and the step matrix M are fixed:
+    a run whose step count ceil(t_last/dt) exceeds _MAX_STEPS raises before
+    the first step, and while the next output lies beyond the next _BLOCK
+    steps those steps are one banded product.  It adds (M^_BLOCK - I)(u - u[0])
+    to u, which is exact on constant data, plus the forcing responses times
+    g(t_k .. t_(k+_BLOCK-1)).  Block times accumulate exactly as single steps
+    accumulate them, so every time stamp equals that of the per-step loop and
+    the values agree with it to roundoff.
     """
-    stable_dt = controls.cfl * h * h
-    dt = controls.fixed_dt if controls.fixed_dt is not None else stable_dt
-    if dt > stable_dt * (1.0 + 1e-9):
-        raise CFLViolationError(
-            "fixed_dt %g exceeds the stability bound %g at t = 0" % (dt, stable_dt)
-        )
-    steps_needed = math.ceil(pending[-1] / dt)
-    if steps_needed > _MAX_STEPS:
-        raise NonConvergenceError(
-            "t_end = %g at dt = %g needs %d explicit steps, over the budget of %d"
-            % (t_end, dt, steps_needed, _MAX_STEPS)
-        )
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise InvalidParamsError(f"t_end must be positive, got {t_end}")
+    targets = list(controls.output_times) if controls.output_times is not None else [t_end]
+    if any(not math.isfinite(x) or x < 0 for x in targets):
+        raise InvalidParamsError("output times must be finite and nonnegative")
+    if any(b < a for a, b in zip(targets[:-1], targets[1:])):
+        raise InvalidParamsError("output times must be nondecreasing")
+    if targets and targets[-1] > t_end * (1.0 + 1e-12):
+        raise InvalidParamsError("output times may not exceed t_end")
 
-    nb = _BLOCK
-    band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
-    increment = _block_increment(band, nb)
+    pending = deque(targets)
+    outputs: list[tuple[float, np.ndarray]] = []
+    u = u0.astype(float, copy=True)
+    while pending and pending[0] <= 0.0:
+        pending.popleft()
+        outputs.append((0.0, u.copy()))
+    if not pending:
+        return outputs
+
+    heat = flux.is_heat
+    fixed = controls.fixed_dt is not None
+    cfl_h2 = controls.cfl * h * h
     gl = controls.left_flux or (lambda _t: 0.0)
     gr = controls.right_flux or (lambda _t: 0.0)
-    ends = []  # (Neumann data, right end?, block forcing responses)
-    if controls.right_flux is not None:
-        w = dt * (2.0 / h - nm1_tk[-1])
-        ends.append((gr, True, _forcing_responses(band, w, True, nb)))
-    if controls.left_flux is not None and not odd_pivot:
-        w = -dt * (2.0 / h + nm1_tk[0])
-        ends.append((gl, False, _forcing_responses(band, w, False, nb)))
-    padded = np.zeros(len(u) + 2 * nb)
-    windows = sliding_window_view(padded, 2 * nb + 1)
-    increments = np.full(nb + 1, dt)
+    if heat:
+        dt = _step_size(controls, cfl_h2, 0.0)
+        steps_needed = math.ceil(pending[-1] / dt)
+        if steps_needed > _MAX_STEPS:
+            raise NonConvergenceError(
+                "t_end = %g at dt = %g needs %d explicit steps, over the budget of %d"
+                % (t_end, dt, steps_needed, _MAX_STEPS)
+            )
+        band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
+        increment = _block_increment(band, _BLOCK)
+        ends = []  # (Neumann data, right end?, block forcing responses)
+        if controls.right_flux is not None:
+            w = dt * (2.0 / h - nm1_tk[-1])
+            ends.append((gr, True, _forcing_responses(band, w, True, _BLOCK)))
+        if controls.left_flux is not None and not odd_pivot:
+            w = -dt * (2.0 / h + nm1_tk[0])
+            ends.append((gl, False, _forcing_responses(band, w, False, _BLOCK)))
+        padded = np.zeros(len(u) + 2 * _BLOCK)
+        windows = sliding_window_view(padded, 2 * _BLOCK + 1)
+        increments = np.full(_BLOCK + 1, dt)
+    else:
+        eps = flux.epsilon
+        if eps is None:
+            eps = _AUTO_EPS_SCALE * float(np.max(u0) - np.min(u0)) / diameter
+        eps2 = eps * eps
+        exponent = 0.5 * (flux.p - 2.0)
+
     inv2h = 1.0 / (2.0 * h)
     invh2 = 1.0 / (h * h)
     ue = np.empty(len(u) + 2)
-
     t = 0.0
     k = 0
-    while pending:
-        if controls.fixed_dt is not None:
-            times = ((k + np.arange(nb + 1)) * dt).tolist()
-        else:
-            increments[0] = t
-            times = np.add.accumulate(increments).tolist()
-        if pending[0] > times[-1]:
-            np.subtract(u, u[0], out=padded[nb:-nb])
-            u = u + np.einsum("ij,ij->i", increment, windows)
-            for g, right, responses in ends:
-                forced = responses @ np.array([g(s) for s in times[:-1]])
-                if right:
-                    u[-len(forced) :] += forced
+    stepping = False  # heat: stepping singly until the next output is recorded
+    # a blown-up state is refused at the next output; numpy's overflow
+    # warnings on the way there say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        while pending:
+            if heat and not stepping:
+                if fixed:
+                    times = ((k + np.arange(_BLOCK + 1)) * dt).tolist()
                 else:
-                    u[: len(forced)] += forced
-            t = times[-1]
-            k += nb
-            continue
-        for t_new in times[1:]:
+                    increments[0] = t
+                    times = np.add.accumulate(increments).tolist()
+                stepping = pending[0] <= times[-1]
+                if not stepping:
+                    np.subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
+                    u = u + np.einsum("ij,ij->i", increment, windows)
+                    for g, right, responses in ends:
+                        forced = responses @ np.array([g(s) for s in times[:-1]])
+                        if right:
+                            u[-len(forced) :] += forced
+                        else:
+                            u[: len(forced)] += forced
+                    t = times[-1]
+                    k += _BLOCK
+                    continue
             ue[1:-1] = u
             ue[0] = -u[1] if odd_pivot else u[1] - 2.0 * h * gl(t)
             ue[-1] = u[-2] + 2.0 * h * gr(t)
             q = (ue[2:] - ue[:-2]) * inv2h
             lap = (ue[2:] - 2.0 * u + ue[:-2]) * invh2
+            if not heat:
+                with np.errstate(divide="ignore"):
+                    mp = (q * q + eps2) ** exponent
+                alpha = (flux.p - 1.0) * mp
+                max_alpha = float(np.max(alpha))
+                if not max_alpha <= _MAX_ALPHA:
+                    raise CFLViolationError(
+                        "max flux coefficient %g exceeds the stability bound %g at t = %g"
+                        % (max_alpha, _MAX_ALPHA, t)
+                    )
+                if max_alpha == 0.0:
+                    # fully degenerate flux: the data is stationary
+                    outputs.extend((target, u.copy()) for target in pending)
+                    break
+                dt = _step_size(controls, cfl_h2 / max_alpha, t)
+                lap *= alpha
+                q *= mp
+            t_new = (k + 1) * dt if fixed else t + dt
             u_new = u + dt * (lap - nm1_tk * q)
             if odd_pivot:
                 u_new[0] = 0.0
-            recorded = pending[0] <= t_new
+            stepping = pending[0] > t_new
             while pending and t_new >= pending[0]:
                 target = pending.popleft()
-                if abs(t - target) <= abs(t_new - target):
-                    outputs.append((t, u.copy()))
-                else:
-                    outputs.append((t_new, u_new.copy()))
+                stamp, values = (t, u) if abs(t - target) <= abs(t_new - target) else (t_new, u_new)
+                if not np.isfinite(values).all():
+                    raise NonConvergenceError(
+                        "the explicit scheme blew up: the state at t = %g is not finite "
+                        "(refine the grid or lower cfl)" % stamp
+                    )
+                outputs.append((stamp, values.copy()))
             u = u_new
             t = t_new
             k += 1
-            if recorded:
-                break
-
-
-def _march_plaplacian(u, h, nm1_tk, flux, eps, controls, odd_pivot, pending, outputs):
-    """Per-step explicit p-Laplacian march; dt follows the largest coefficient."""
-    cfl_h2 = controls.cfl * h * h
-    gl = controls.left_flux or (lambda _t: 0.0)
-    gr = controls.right_flux or (lambda _t: 0.0)
-    plap_exp = 0.5 * (flux.p - 2.0)
-    eps2 = eps * eps
-
-    inv2h = 1.0 / (2.0 * h)
-    invh2 = 1.0 / (h * h)
-    ue = np.empty(len(u) + 2)
-    t = 0.0
-    k = 0
-    while pending:
-        ue[1:-1] = u
-        ue[0] = -u[1] if odd_pivot else u[1] - 2.0 * h * gl(t)
-        ue[-1] = u[-2] + 2.0 * h * gr(t)
-        q = (ue[2:] - ue[:-2]) * inv2h
-        lap = (ue[2:] - 2.0 * u + ue[:-2]) * invh2
-        with np.errstate(divide="ignore"):
-            mp = (q * q + eps2) ** plap_exp
-        alpha = (flux.p - 1.0) * mp
-        max_alpha = float(np.max(alpha))
-        if not max_alpha <= _MAX_ALPHA:
-            raise CFLViolationError(
-                "max flux coefficient %g exceeds the stability bound %g at t = %g"
-                % (max_alpha, _MAX_ALPHA, t)
-            )
-        du = alpha * lap - nm1_tk * (mp * q)
-        if max_alpha == 0.0:
-            # fully degenerate flux: the data is stationary
-            while pending:
-                target = pending.popleft()
-                outputs.append((target, u.copy()))
-            break
-        stable_dt = cfl_h2 / max_alpha
-        if controls.fixed_dt is not None:
-            dt = controls.fixed_dt
-            if dt > stable_dt * (1.0 + 1e-9):
-                raise CFLViolationError(
-                    "fixed_dt %g exceeds the stability bound %g at t = %g" % (dt, stable_dt, t)
-                )
-            t_new = (k + 1) * dt
-        else:
-            dt = stable_dt
-            t_new = t + dt
-        u_new = u + dt * du
-        if odd_pivot:
-            u_new[0] = 0.0
-        while pending and t_new >= pending[0]:
-            target = pending.popleft()
-            if abs(t - target) <= abs(t_new - target):
-                outputs.append((t, u.copy()))
-            else:
-                outputs.append((t_new, u_new.copy()))
-        u = u_new
-        t = t_new
-        k += 1
-        if k > _MAX_STEPS:
-            raise NonConvergenceError("time stepping exceeded %d steps" % _MAX_STEPS)
+            if k > _MAX_STEPS:
+                raise NonConvergenceError("time stepping exceeded %d steps" % _MAX_STEPS)
+    return outputs
 
 
 def evolve(
@@ -479,9 +434,10 @@ def evolve(
     if not phi0.is_nondecreasing(1e-12 * osc0):
         raise InvalidParamsError("initial profile must be nondecreasing")
 
-    eps = _resolve_epsilon(flux, osc0, params.diameter)
     nm1_tk = (params.n - 1) * tk_array(params.kappa, phi0.grid.nodes)
-    raw = _march(phi0.values, phi0.grid.h, nm1_tk, flux, eps, t_end, controls, odd_pivot=True)
+    raw = _march(
+        phi0.values, phi0.grid.h, nm1_tk, flux, params.diameter, t_end, controls, odd_pivot=True
+    )
     out = [Profile(grid=phi0.grid, t=t, values=v) for t, v in raw]
     mono_tol = 1e-10 * osc0
     for prof in out:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import InvalidParamsError, ModelParams
-from .moc_pde import Flux, Profile, StepControls, _march, _resolve_epsilon
+from .moc_pde import Flux, Profile, StepControls, _march
 from .specialfn import ck, tk_array
 from .sturm import _bisect_level, first_eigenvalue, integrate_phi
 
@@ -158,8 +158,7 @@ def radial_flow(
     h = params.diameter / cells
     nodes = -params.half_diameter + np.arange(cells + 1) * h
     nm1_tk = (params.n - 1) * tk_array(params.kappa, nodes)
-    eps = _resolve_epsilon(flux, float(np.max(u0) - np.min(u0)), params.diameter)
-    raw = _march(u0, h, nm1_tk, flux, eps, t_end, controls, odd_pivot=False)
+    raw = _march(u0, h, nm1_tk, flux, params.diameter, t_end, controls, odd_pivot=False)
     return RadialSolution(
         metric=metric,
         flux=flux,

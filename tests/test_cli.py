@@ -116,6 +116,15 @@ class TestEvolveCommand:
         assert proc.stdout == ""
         assert "t_end = 1e+06" in proc.stderr and "640000000" in proc.stderr
 
+    def test_blown_up_march_exits_3(self, capsys, recwarn):
+        code, out, err = run_cli(capsys, "evolve", "--kappa", "-4000", "--grid", "16",
+                                 "--t-end", "100")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: solver did not converge:") and "not finite" in err
+        assert err.count("\n") == 1
+        assert not recwarn.list
+
     def test_csv_long_format(self, capsys):
         code, out, _ = run_cli(capsys, "evolve", "--n", "2", "--kappa", "0", "--diameter", "2",
                                "--grid", "32", "--t-end", "0.05", "--format", "csv")
@@ -163,6 +172,17 @@ class TestDecayCommand:
         assert code == 2
         assert out == ""
         assert "--t-end" in err and "0.000390625" in err
+
+    def test_blown_up_march_exits_3(self, capsys, recwarn):
+        # the explicit heat scheme is unstable at this drift; its NaN state is
+        # refused, with one error line, instead of reaching the fit and the report
+        code, out, err = run_cli(capsys, "decay", "--kappa", "-4000", "--grid", "64",
+                                 "--t-end", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: solver did not converge:") and "not finite" in err
+        assert err.count("\n") == 1
+        assert not recwarn.list
 
 
 class TestVerifyMocCommand:

@@ -11,6 +11,7 @@ from specgap import (
     Grid1D,
     InvalidParamsError,
     ModelParams,
+    NonConvergenceError,
     Profile,
     StepControls,
     WarpedMetric,
@@ -22,14 +23,24 @@ from specgap import (
 from specgap.specialfn import tk_array
 
 MU_3_M1_2 = 1.682043320038555  # independent closed-form value, see test_sturm
+FLUXES = [Flux.plaplacian(3.0), Flux.plaplacian(3.0, 1e-3), Flux.plaplacian(1.5, 0.1)]
+FLUX_IDS = ["plap:3", "plap:3:1e-3", "plap:1.5:0.1"]
 
 
-def reference_heat_march(u0, h, nm1_tk, t_end, controls, odd_pivot):
-    """The explicit heat scheme one step at a time, with snapped outputs."""
+def reference_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot):
+    """The explicit scheme one step at a time, with snapped outputs.
+
+    Heat uses alpha = mp = 1; the p-Laplacian uses mp = (q^2 + eps^2)^((p-2)/2)
+    and alpha = (p-1)*mp, with eps = 1e-8 * osc(u0) / diameter when the flux
+    leaves it unset.  dt = cfl*h^2/max(alpha) unless it is fixed.
+    """
     targets = list(controls.output_times) if controls.output_times is not None else [t_end]
     gl = controls.left_flux or (lambda _t: 0.0)
     gr = controls.right_flux or (lambda _t: 0.0)
-    dt = controls.fixed_dt if controls.fixed_dt is not None else controls.cfl * h * h
+    if not flux.is_heat:
+        eps = flux.epsilon
+        if eps is None:
+            eps = 1e-8 * float(np.max(u0) - np.min(u0)) / diameter
     pending = deque(targets)
     outputs = []
     u = np.array(u0, dtype=float)
@@ -40,12 +51,22 @@ def reference_heat_march(u0, h, nm1_tk, t_end, controls, odd_pivot):
     while pending:
         ue = np.concatenate([[-u[1] if odd_pivot else u[1] - 2.0 * h * gl(t)], u,
                              [u[-2] + 2.0 * h * gr(t)]])
-        q = (ue[2:] - ue[:-2]) / (2.0 * h)
-        lap = (ue[2:] - 2.0 * u + ue[:-2]) / (h * h)
-        u_new = u + dt * (lap - nm1_tk * q)
+        q = (ue[2:] - ue[:-2]) * (1.0 / (2.0 * h))
+        lap = (ue[2:] - 2.0 * u + ue[:-2]) * (1.0 / (h * h))
+        if flux.is_heat:
+            alpha = mp = 1.0
+        else:
+            mp = (q * q + eps * eps) ** (0.5 * (flux.p - 2.0))
+            alpha = (flux.p - 1.0) * mp
+        if controls.fixed_dt is not None:
+            dt = controls.fixed_dt
+            t_new = (k + 1) * dt
+        else:
+            dt = controls.cfl * h * h / float(np.max(alpha))
+            t_new = t + dt
+        u_new = u + dt * (alpha * lap - nm1_tk * (mp * q))
         if odd_pivot:
             u_new[0] = 0.0
-        t_new = (k + 1) * dt if controls.fixed_dt is not None else t + dt
         while pending and t_new >= pending[0]:
             target = pending.popleft()
             if abs(t - target) <= abs(t_new - target):
@@ -203,7 +224,8 @@ class TestHeatBlockMarch:
         return lambda t: slope * math.exp(-sigma * t)
 
     def check_against_reference(self, got_times, got_values, u0, h, nm1_tk, controls, pivot):
-        ref = reference_heat_march(u0, h, nm1_tk, 0.25, controls, pivot)
+        ref = reference_march(Flux.heat(), self.PARAMS.diameter, u0, h, nm1_tk, 0.25,
+                              controls, pivot)
         assert got_times == [t for t, _ in ref]
         scale = np.max(np.abs(u0))
         for values, (_, ref_values) in zip(got_values, ref):
@@ -251,6 +273,76 @@ class TestHeatBlockMarch:
         controls = StepControls(fixed_dt=0.41 * phi0.grid.h**2)
         with pytest.raises(CFLViolationError):
             evolve(Flux.heat(), ModelParams(2, 0.0, 2.0), phi0, 0.1, controls)
+
+
+class TestPLaplacianMarch:
+    """The p-Laplacian march against the per-step reference loop, bitwise."""
+
+    PARAMS = ModelParams(3, -1.0, 2.0)
+    SIGMA = 0.9 * MU_3_M1_2
+    T_END = 0.05
+    TIMES = [0.0, 0.01, 0.01, 0.03, 0.05]
+
+    def controls(self, flux, u0, h, slope, fixed, forcing):
+        g = lambda t: slope * math.exp(-self.SIGMA * t)
+        alpha0 = max(flux_eval(flux, float(q))[0] for q in np.gradient(u0, h))
+        return StepControls(
+            output_times=self.TIMES,
+            fixed_dt=0.2 * h * h / alpha0 if fixed else None,
+            left_flux=g if forcing == "left" else None,
+            right_flux=g if forcing == "right" else None,
+        )
+
+    @staticmethod
+    def assert_bitwise(got_times, got_values, ref):
+        assert got_times == [t for t, _ in ref]
+        for values, (_, ref_values) in zip(got_values, ref):
+            assert np.array_equal(values, ref_values)
+
+    @pytest.mark.parametrize("flux", FLUXES, ids=FLUX_IDS)
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("forcing", ["none", "left", "right"])
+    def test_evolve_matches_per_step_loop(self, flux, fixed, forcing):
+        traj = integrate_phi(self.PARAMS, self.SIGMA, 32)
+        grid = Grid1D(self.PARAMS.half_diameter, 32)
+        phi0 = Profile(grid=grid, t=0.0, values=traj.phi)
+        controls = self.controls(flux, traj.phi, grid.h, traj.dphi[-1], fixed, forcing)
+        out = evolve(flux, self.PARAMS, phi0, self.T_END, controls)
+        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, grid.nodes)
+        ref = reference_march(flux, self.PARAMS.diameter, traj.phi, grid.h, nm1_tk,
+                              self.T_END, controls, True)
+        self.assert_bitwise([p.t for p in out], [p.values for p in out], ref)
+
+    @pytest.mark.parametrize("flux", FLUXES, ids=FLUX_IDS)
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("forcing", ["none", "left", "right"])
+    def test_radial_flow_matches_per_step_loop(self, flux, fixed, forcing):
+        half = integrate_phi(self.PARAMS, self.SIGMA, 32)
+        u0 = np.concatenate([-half.phi[:0:-1], half.phi])
+        h = self.PARAMS.diameter / 64
+        controls = self.controls(flux, u0, h, half.dphi[-1], fixed, forcing)
+        sol = radial_flow(WarpedMetric(self.PARAMS, 1.0), flux, u0, self.T_END, controls)
+        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, sol.nodes)
+        ref = reference_march(flux, self.PARAMS.diameter, u0, h, nm1_tk, self.T_END,
+                              controls, False)
+        self.assert_bitwise(sol.times, sol.profiles, ref)
+
+
+class TestBlowUp:
+    """A march whose state stops being finite raises instead of returning it."""
+
+    PARAMS = ModelParams(3, -4000.0, 2.0)
+
+    def test_evolve_raises(self):
+        grid = Grid1D(self.PARAMS.half_diameter, 16)
+        phi0 = Profile(grid=grid, t=0.0, values=np.sin(grid.nodes))
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            evolve(Flux.heat(), self.PARAMS, phi0, 100.0)
+
+    def test_radial_flow_raises(self):
+        u0 = np.sin(np.linspace(-1.0, 1.0, 33))
+        with pytest.raises(NonConvergenceError, match="t = 3 is not finite"):
+            radial_flow(WarpedMetric(self.PARAMS, 1.0), Flux.heat(), u0, 3.0)
 
 
 class TestEvolvePLaplacian:
