@@ -167,9 +167,11 @@ class StepControls:
     interval ends (zero when omitted); the left value is only consulted for
     full-interval evolutions, which have no pivot at s = 0.  A flux coefficient
     alpha above 1e8 raises :class:`CFLViolationError` whatever the controls.
-    Output times snap to the nearest step.  An evolution needing more than
-    2^26 steps, or whose state at an output is not finite, raises
-    :class:`NonConvergenceError`.
+    Output times snap to the nearest step.  An evolution whose state at an
+    output is not finite raises :class:`NonConvergenceError`, as does one
+    needing more than 2^26 steps: a run with a known dt (heat, or
+    ``fixed_dt`` set) before its first step, an adaptive p-Laplacian run once
+    its step count passes 2^26.
     """
 
     cfl: float = 0.4
@@ -279,13 +281,18 @@ def _march(
     _AUTO_EPS_SCALE * osc(u0) / diameter.  Requested output times are snapped
     to the nearest completed step rather than interpolated, so recorded state
     is always genuine scheme output; a recorded state that is not finite
-    raises :class:`NonConvergenceError`, as does a step count past _MAX_STEPS.
+    raises :class:`NonConvergenceError`.
+
+    Step budget: when dt is known before the first step (the heat flux, or
+    ``fixed_dt`` set), a run whose step count ceil(t_last/dt) exceeds
+    _MAX_STEPS raises :class:`NonConvergenceError` before stepping.  An
+    adaptive p-Laplacian run, whose dt follows the data, raises once its
+    step count passes _MAX_STEPS.
 
     On the heat flux alpha = beta = 1, so dt and the step matrix M are fixed:
-    a run whose step count ceil(t_last/dt) exceeds _MAX_STEPS raises before
-    the first step, and while the next output lies beyond the next _BLOCK
-    steps those steps are one banded product.  It adds (M^_BLOCK - I)(u - u[0])
-    to u, which is exact on constant data, plus the forcing responses times
+    while the next output lies beyond the next _BLOCK steps those steps are
+    one banded product.  It adds (M^_BLOCK - I)(u - u[0]) to u, which is
+    exact on constant data, plus the forcing responses times
     g(t_k .. t_(k+_BLOCK-1)).  Block times accumulate exactly as single steps
     accumulate them, so every time stamp equals that of the per-step loop and
     the values agree with it to roundoff.
@@ -314,14 +321,16 @@ def _march(
     cfl_h2 = controls.cfl * h * h
     gl = controls.left_flux or (lambda _t: 0.0)
     gr = controls.right_flux or (lambda _t: 0.0)
-    if heat:
-        dt = _step_size(controls, cfl_h2, 0.0)
+    # dt is known up front on the heat flux and whenever it is fixed
+    dt = _step_size(controls, cfl_h2, 0.0) if heat else controls.fixed_dt
+    if dt is not None:
         steps_needed = math.ceil(pending[-1] / dt)
         if steps_needed > _MAX_STEPS:
             raise NonConvergenceError(
                 "t_end = %g at dt = %g needs %d explicit steps, over the budget of %d"
                 % (t_end, dt, steps_needed, _MAX_STEPS)
             )
+    if heat:
         band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
         increment = _block_increment(band, _BLOCK)
         ends = []  # (Neumann data, right end?, block forcing responses)
@@ -340,6 +349,7 @@ def _march(
             eps = _AUTO_EPS_SCALE * float(np.max(u0) - np.min(u0)) / diameter
         eps2 = eps * eps
         exponent = 0.5 * (flux.p - 2.0)
+        pm1 = flux.p - 1.0
 
     inv2h = 1.0 / (2.0 * h)
     invh2 = 1.0 / (h * h)
@@ -348,8 +358,9 @@ def _march(
     k = 0
     stepping = False  # heat: stepping singly until the next output is recorded
     # a blown-up state is refused at the next output; numpy's overflow
-    # warnings on the way there say nothing more
-    with np.errstate(over="ignore", invalid="ignore"):
+    # warnings on the way there say nothing more, nor does 0 ** negative
+    # (alpha = inf, refused below)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while pending:
             if heat and not stepping:
                 if fixed:
@@ -376,10 +387,9 @@ def _march(
             q = (ue[2:] - ue[:-2]) * inv2h
             lap = (ue[2:] - 2.0 * u + ue[:-2]) * invh2
             if not heat:
-                with np.errstate(divide="ignore"):
-                    mp = (q * q + eps2) ** exponent
-                alpha = (flux.p - 1.0) * mp
-                max_alpha = float(np.max(alpha))
+                mp = (q * q + eps2) ** exponent
+                alpha = pm1 * mp
+                max_alpha = float(alpha.max())
                 if not max_alpha <= _MAX_ALPHA:
                     raise CFLViolationError(
                         "max flux coefficient %g exceeds the stability bound %g at t = %g"

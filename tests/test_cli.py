@@ -100,11 +100,13 @@ class TestEvolveCommand:
         assert code == 2
         assert "t-end" in err
 
-    def test_degenerate_flux_exits_3(self, capsys):
+    def test_degenerate_flux_exits_3(self, capsys, recwarn):
+        # 0 ** -0.25 divides by zero: alpha = inf is refused without a warning
         code, _, err = run_cli(capsys, "evolve", "--n", "2", "--kappa", "0", "--diameter", "2",
                                "--grid", "32", "--t-end", "0.1", "--flux", "plap:1.5:0")
         assert code == 3
         assert "converge" in err
+        assert not recwarn.list
 
     def test_step_budget_exits_3_before_stepping(self):
         # 6.4e8 explicit steps: over the budget, so refused before the first step
@@ -199,6 +201,18 @@ class TestVerifyMocCommand:
                                "--diameter", "2", "--grid", "64", "--flux", "plap:3:1e-8")
         assert code == 0
         assert json.loads(out)["violations"] == 0
+
+    def test_plaplacian_step_budget_exits_3_before_stepping(self):
+        # 1.3e10 steps at the shared fixed_dt: over the budget, so refused
+        # before the first step
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgap.cli", "verify-moc", "--flux", "plap:3",
+             "--t-end", "1e4"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "t_end = 10000" in proc.stderr and "12907784339" in proc.stderr
 
 
 class TestRicciCommand:

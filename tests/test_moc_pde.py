@@ -289,8 +289,8 @@ class TestPLaplacianMarch:
         return StepControls(
             output_times=self.TIMES,
             fixed_dt=0.2 * h * h / alpha0 if fixed else None,
-            left_flux=g if forcing == "left" else None,
-            right_flux=g if forcing == "right" else None,
+            left_flux=g if forcing in ("left", "both") else None,
+            right_flux=g if forcing in ("right", "both") else None,
         )
 
     @staticmethod
@@ -301,7 +301,7 @@ class TestPLaplacianMarch:
 
     @pytest.mark.parametrize("flux", FLUXES, ids=FLUX_IDS)
     @pytest.mark.parametrize("fixed", [False, True])
-    @pytest.mark.parametrize("forcing", ["none", "left", "right"])
+    @pytest.mark.parametrize("forcing", ["none", "left", "right", "both"])
     def test_evolve_matches_per_step_loop(self, flux, fixed, forcing):
         traj = integrate_phi(self.PARAMS, self.SIGMA, 32)
         grid = Grid1D(self.PARAMS.half_diameter, 32)
@@ -315,7 +315,7 @@ class TestPLaplacianMarch:
 
     @pytest.mark.parametrize("flux", FLUXES, ids=FLUX_IDS)
     @pytest.mark.parametrize("fixed", [False, True])
-    @pytest.mark.parametrize("forcing", ["none", "left", "right"])
+    @pytest.mark.parametrize("forcing", ["none", "left", "right", "both"])
     def test_radial_flow_matches_per_step_loop(self, flux, fixed, forcing):
         half = integrate_phi(self.PARAMS, self.SIGMA, 32)
         u0 = np.concatenate([-half.phi[:0:-1], half.phi])
