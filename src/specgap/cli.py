@@ -271,6 +271,13 @@ def cmd_verify_moc(args):
     alpha_max = max(flux_eval(flux, float(q))[0] for q in grads)
     dt = 0.75 * args.cfl * phi0.grid.h**2 / max(1.0, alpha_max)
     times = [t_end * (k + 1) / 5.0 for k in range(5)]
+    if times[0] < dt:
+        raise InvalidParamsError(
+            "--t-end %g is too short: the first checked time t_end/5 comes before one "
+            "explicit step dt = 0.75*cfl*(D/(2*grid))^2/max(1, alpha) = %g, so no evolved "
+            "state would be checked; raise --t-end, or raise --grid or lower --cfl"
+            % (t_end, dt)
+        )
     controls = StepControls(cfl=args.cfl, output_times=times, fixed_dt=dt)
     metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
     sol = radial_flow(metric, flux, u0, t_end, controls)

@@ -10,8 +10,13 @@ Two independent routes to the same number:
   at the endpoint, which is exactly the Neumann condition of the weighted form.
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
-  reflection, solved by Sturm-sequence bisection on the symmetric tridiagonal
-  matrix.  Serves as a cross-check oracle for the shooting route.
+  reflection, solved by Sturm-count bisection on the zero-diagonal
+  Golub-Kahan tridiagonal of its bidiagonal factor.  Newton on the same
+  recurrence, started from the value on an 8x coarser grid, locates a narrow
+  bracket that two Sturm counts prove; the bisection then skips the counts
+  outside it.  Every bisection decision, and so every returned value, is bit
+  for bit that of the plain bisection.  Serves as a cross-check oracle for
+  the shooting route and never reads its result.
 
 The two forms agree because ``(ck^(n-1))'/ck^(n-1) = -(n-1)*tk``.
 """
@@ -347,21 +352,67 @@ def _sv_count(c2: list[float], x: float) -> int:
     return count
 
 
+def _newton_singular_value(c2: list[float], x: float) -> float:
+    """Newton on det(T - xI) of the zero-diagonal tridiagonal, started at x.
+
+    One pass of the Sturm recurrence q_i = -x - c2_i/q_(i-1) also carries
+    q_i' = -1 + c2_i*q_(i-1)'/q_(i-1)^2, and det'/det = sum q_i'/q_i.  Stops
+    once a step is at most 1e-14*x, or after 6 steps; NaN on a zero pivot.
+    """
+    try:
+        for _ in range(6):
+            q, dq = -x, -1.0
+            s = dq / q
+            for ck2 in c2:
+                r = ck2 / q
+                dq = r * dq / q - 1.0
+                q = -x - r
+                s += dq / q
+            step = 1.0 / s
+            x -= step
+            if abs(step) <= 1e-14 * x:
+                break
+    except ZeroDivisionError:
+        return math.nan
+    return x
+
+
 def _fd_singular_value(params: ModelParams, gridpoints: int, index: int) -> float:
     """index-th smallest singular value (1-based) of the bidiagonal factor.
 
     For x > 0 the Golub-Kahan tridiagonal (one row/column per node and per
     cell) has ``gridpoints`` negative eigenvalues and one zero below x, so
     sigma_k < x exactly when the Sturm count reaches gridpoints + 1 + k.
+
+    The bisection from [0, 2*max c] to a relative width of 1e-14 decides
+    every midpoint by that count.  Above 64 cells, Newton polishes the same
+    index's value on an 8x coarser grid (at least 64 cells) into x, and
+    [x - w, x + w] is accepted only when count(x - w) < want <= count(x + w),
+    with w = 4e-14*x widened 4x up to three times.  The count is monotone in
+    x, so a midpoint at or below x - w is a "below" and one at or above x + w
+    an "above" without a count: every decision, and the returned value, is
+    bit for bit that of the plain bisection, which runs alone when the guess
+    cannot be verified.
     """
     c = _fd_flux_factor(params, gridpoints)
     c2 = (c * c).tolist()
     want = gridpoints + 1 + index
+    below, above = -math.inf, math.inf  # count(below) < want <= count(above)
+    if gridpoints > 64:
+        guess = _fd_singular_value(params, max(gridpoints // 8, 64), index)
+        x = _newton_singular_value(c2, guess)
+        if 0.0 < x < math.inf:
+            w = 4e-14 * x
+            for _ in range(4):
+                if _sv_count(c2, x - w) < want <= _sv_count(c2, x + w):
+                    below, above = x - w, x + w
+                    break
+                w *= 4.0
     lo = 0.0
     hi = 2.0 * float(np.max(c))
     while hi - lo > 1e-14 * hi:
         mid = 0.5 * (lo + hi)
-        if _sv_count(c2, mid) >= want:
+        if mid >= above or (mid > below and _sv_count(c2, mid) >= want):
             hi = mid
         else:
             lo = mid

@@ -214,6 +214,15 @@ class TestVerifyMocCommand:
         assert proc.stdout == ""
         assert "t_end = 10000" in proc.stderr and "12907784339" in proc.stderr
 
+    @pytest.mark.parametrize("flux, dt", [("heat", "0.000292969"), ("plap:3", "5.12004e-05")])
+    def test_t_end_shorter_than_a_step_names_the_flag(self, capsys, flux, dt):
+        # all five checked times would snap to t = 0: nothing evolved is checked
+        code, out, err = run_cli(capsys, "verify-moc", "--t-end", "1e-9", "--grid", "32",
+                                 "--flux", flux)
+        assert code == 2
+        assert out == ""
+        assert "--t-end" in err and dt in err and "--grid" in err and "--cfl" in err
+
 
 class TestRicciCommand:
     def test_admissible_report(self, capsys):

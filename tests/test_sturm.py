@@ -1,8 +1,12 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specgap.sturm
 from specgap import (
     InvalidParamsError,
     ModelParams,
@@ -15,7 +19,7 @@ from specgap import (
     sphere_limit_eigenvalue,
 )
 from specgap.specialfn import tk
-from specgap.sturm import _bisect_level, _fd_singular_value
+from specgap.sturm import _bisect_level, _fd_flux_factor, _fd_singular_value, _sv_count
 
 
 def mu_closed_form_n3(kappa: float, diameter: float) -> float:
@@ -232,6 +236,115 @@ class TestFdOracle:
         assert val == pytest.approx(8.786645013290315e-36, rel=1e-10)
         val = sl_fd_oracle_extrapolated(ModelParams(3, -100.0, 10.0), 256)
         assert val == pytest.approx(2.973918473714297e-41, rel=1e-10)
+
+
+def reference_singular_value(params: ModelParams, gridpoints: int, index: int) -> float:
+    """The oracle's plain bisection: one Sturm count at every midpoint."""
+    c = _fd_flux_factor(params, gridpoints)
+    c2 = (c * c).tolist()
+    want = gridpoints + 1 + index
+    lo = 0.0
+    hi = 2.0 * float(np.max(c))
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        if _sv_count(c2, mid) >= want:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def spectrum_lattice(seed: int) -> list[ModelParams]:
+    """The benchmark's seeded (n, kappa, D) lattice, from benchmarks/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("workloads", module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.spectrum_lattice(np.random.default_rng(seed))
+
+
+def proved_width(points: list[float]) -> float:
+    """Width of the first counted pair that every later count falls strictly inside."""
+    for i in range(len(points) - 1):
+        lo, hi = points[i], points[i + 1]
+        if lo < hi and all(lo < x < hi for x in points[i + 2 :]):
+            return hi - lo
+    return 0.0
+
+
+class TestFdBracket:
+    """The Newton-located bracket changes no bisection decision."""
+
+    FIXED = [
+        ModelParams(2, 0.0, 1000.0),
+        ModelParams(10, -1.0, 20.0),
+        ModelParams(3, -100.0, 10.0),
+        ModelParams(2, 0.0, 1e-3),
+    ]
+    PARAMS = ModelParams(3, -1.0, 2.0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_spectrum_lattice_bitwise(self, seed):
+        for params in spectrum_lattice(seed):
+            coarse = reference_singular_value(params, 2048, 1)
+            fine = reference_singular_value(params, 4096, 1)
+            assert _fd_singular_value(params, 2048, 1) == coarse
+            assert _fd_singular_value(params, 4096, 1) == fine
+            expected = (4.0 * (fine * fine) - coarse * coarse) / 3.0
+            assert sl_fd_oracle_extrapolated(params, 2048) == expected
+
+    @pytest.mark.parametrize(
+        "params", FIXED, ids=lambda p: "%g,%g,%g" % (p.n, p.kappa, p.diameter)
+    )
+    @pytest.mark.parametrize("gridpoints", [64, 256, 2048, 4096])
+    def test_fixed_points_and_modes_bitwise(self, params, gridpoints):
+        for index in (1, 3, 5):
+            reference = reference_singular_value(params, gridpoints, index)
+            assert _fd_singular_value(params, gridpoints, index) == reference
+            if index == 1:
+                assert sl_fd_oracle(params, gridpoints) == reference * reference
+
+    def fine_counts(self, monkeypatch, gridpoints: int) -> list[float]:
+        """Points at which the oracle counts on the finest grid."""
+        points = []
+
+        def spy(c2, x):
+            if len(c2) == 2 * gridpoints:
+                points.append(x)
+            return _sv_count(c2, x)
+
+        monkeypatch.setattr(specgap.sturm, "_sv_count", spy)
+        return points
+
+    @pytest.mark.parametrize("guess", ["far", "nan", "inf", "one_width"])
+    def test_bad_guess_keeps_the_value(self, monkeypatch, guess):
+        newton = specgap.sturm._newton_singular_value
+
+        def fake(c2, x):
+            x = newton(c2, x)
+            return {"far": 3.0 * x, "nan": math.nan, "inf": math.inf,
+                    "one_width": x * (1.0 + 8e-14)}[guess]
+
+        monkeypatch.setattr(specgap.sturm, "_newton_singular_value", fake)
+        points = self.fine_counts(monkeypatch, 2048)
+        assert _fd_singular_value(self.PARAMS, 2048, 1) == reference_singular_value(
+            self.PARAMS, 2048, 1
+        )
+        if guess == "one_width":
+            # the first bracket misses the root; a widened one is proved and used
+            assert proved_width(points) > 3e-13 * points[-1]
+            assert len(points) < 16
+        else:
+            # no bracket is proved: the plain bisection counts every midpoint
+            assert len(points) > 40
+
+    def test_widened_bracket_at_40000_cells(self, monkeypatch):
+        points = self.fine_counts(monkeypatch, 40000)
+        got = _fd_singular_value(self.PARAMS, 40000, 1)
+        assert got == reference_singular_value(self.PARAMS, 40000, 1)
+        assert proved_width(points) > 3e-13 * got
+        assert len(points) < 16
 
 
 class TestShootingModes:
