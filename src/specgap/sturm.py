@@ -5,9 +5,13 @@ Two independent routes to the same number:
 * ``first_eigenvalue`` -- shooting.  One RK4 kernel integrates
   ``phi'' - (n-1)*tk*phi' + sigma*phi = 0``, ``phi(0) = 0``, ``phi'(0) = 1``
   on [0, D/2] and counts sign changes of phi'.  By Sturm oscillation odd
-  Neumann mode j has exactly j of them, so bisecting sigma on "at most j
-  changes" finds mode j.  Mode 0 is the eigenvalue: there phi' first vanishes
-  at the endpoint, which is exactly the Neumann condition of the weighted form.
+  Neumann mode j has exactly j of them, so the predicate "at most j changes"
+  holds below mode j and fails above it.  One bracketing loop narrows sigma
+  by that predicate alone; its trial points are Illinois (safeguarded
+  secant) steps on the endpoint value phi'(D/2), which is smooth in sigma
+  and vanishes at the eigenvalue, with the midpoint as fallback.  Mode 0 is
+  the eigenvalue: there phi' first vanishes at the endpoint, which is
+  exactly the Neumann condition of the weighted form.
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-count bisection on the zero-diagonal
@@ -60,9 +64,11 @@ class PhiTrajectory:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged eigenvalue with its final bisection bracket and grid.
+    """Converged eigenvalue with its final sigma bracket and grid.
 
     ``integrate_phi(params, bracket_lo, steps)`` gives the eigenfunction.
+    ``iterations`` counts the predicate calls of the final grid level and
+    ``evaluations`` those of all levels.
     """
 
     mu: float
@@ -71,6 +77,7 @@ class EigenResult:
     iterations: int
     tol: float
     steps: int
+    evaluations: int
 
 
 def _shooting_grid(params: ModelParams, steps: int) -> tuple[float, float, list[float]]:
@@ -93,18 +100,21 @@ def _shoot(
     mode: int,
     phis: np.ndarray | None = None,
     dphis: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """RK4 march from (phi, phi') = (0, 1); returns (sign changes of phi', first).
+) -> tuple[int, int, float]:
+    """RK4 march from (phi, phi') = (0, 1); returns (sign changes of phi', first, end).
 
     ``first`` is the step in which phi' first stops being positive, -1 if never
-    (zero and NaN count as non-positive).  Without output arrays the march
-    stops once the count exceeds ``mode`` or the solution blows up; with them
-    it runs to the end and records phi, phi' at nodes 1..steps.
+    (zero and NaN count as non-positive); ``end`` is phi' at D/2, NaN if the
+    march stopped early.  Without output arrays the march stops once the count
+    exceeds ``mode + 1`` or the solution blows up: ``count <= mode`` is decided
+    as by a march that stops past ``mode``, and ``end`` is known on both sides
+    of the eigenvalue of mode ``mode``.  With output arrays it runs to the end
+    and records phi, phi' at nodes 1..steps.
     """
     # same IEEE results as numpy scalars, without a numpy call per operation
     sigma, h = float(sigma), float(h)
     record = phis is not None
-    limit = steps if record else mode
+    limit = steps if record else mode + 1
     big = math.inf if record else _BLOWUP
     phi, dphi = 0.0, 1.0
     rising = True
@@ -134,15 +144,15 @@ def _shoot(
         if (dphi > 0.0) == rising:
             if dphi > big or phi > big or phi < -big:
                 # grew without a further sign change: the count is final on this grid
-                return count, first
+                return count, first, math.nan
         else:
             rising = not rising
             count += 1
             if first < 0:
                 first = i
             if count > limit:
-                return count, first
-    return count, first
+                return count, first, math.nan
+    return count, first, dphi
 
 
 def _hermite_dphi_zero(
@@ -190,7 +200,7 @@ def integrate_phi(params: ModelParams, sigma: float, steps: int) -> PhiTrajector
     nm1, h, tks = _shooting_grid(params, steps)
     phis = np.zeros(steps + 1)
     dphis = np.ones(steps + 1)
-    _, i = _shoot(nm1, sigma, h, steps, tks, 0, phis, dphis)
+    _, i, _ = _shoot(nm1, sigma, h, steps, tks, 0, phis, dphis)
     first_zero = None
     if i >= 0:
         p0, p1 = phis[i : i + 2].tolist()
@@ -209,58 +219,90 @@ def _bisect_level(
     hint: tuple[float, float] | None,
     mode: int = 0,
 ) -> tuple[float, float, float, int]:
-    """One bisection pass at a fixed grid; returns (mu, lo, hi, evaluations).
+    """One bracketing pass at a fixed grid; returns (mu, lo, hi, evaluations).
 
     The predicate "phi' changes sign at most ``mode`` times" holds below the
-    eigenvalue of odd Neumann mode ``mode`` and fails above it.
+    eigenvalue of odd Neumann mode ``mode`` and fails above it.  It alone
+    decides each trial point, so lo always passes and hi always fails.  The
+    trial point is the Illinois point (Dowell & Jarratt, BIT 11, 1971) of
+    f = (-1)^mode * phi'(D/2), smooth in sigma with its root at the
+    eigenvalue, whenever both ends' f are finite with f(lo) > 0 >= f(hi); it
+    is kept tol_sigma/4 inside each end, and the retained end's f is halved
+    when the same end is kept twice.  Otherwise, and after two trials in a
+    row that failed to halve the bracket, the trial point is the midpoint, so
+    the bracket at least halves in every three trials.
     """
     nm1, h, tks = _shooting_grid(params, steps)
-
-    def pred(sigma: float) -> bool:
-        return _shoot(nm1, sigma, h, steps, tks, mode)[0] <= mode
-
+    sign = -1.0 if mode % 2 else 1.0
     evals = 0
+
+    def shoot(sigma: float) -> tuple[bool, float]:
+        nonlocal evals
+        evals += 1
+        count, _, end = _shoot(nm1, sigma, h, steps, tks, mode)
+        return count <= mode, sign * end
+
     lo = hi = None
     if hint is not None:
         cand_lo, cand_hi = max(0.0, hint[0]), hint[1]
-        evals += 2
-        if pred(cand_lo) and not pred(cand_hi):
-            lo, hi = cand_lo, cand_hi
+        passes, f_lo = shoot(cand_lo)
+        if passes:
+            passes, f_hi = shoot(cand_hi)
+            if not passes:
+                lo, hi = cand_lo, cand_hi
     if lo is None:
         # sigma = 0 always satisfies the predicate: phi' solves a first-order
         # linear equation with positive initial data, so it never changes sign.
-        lo = 0.0
+        lo, f_lo = 0.0, math.nan
         hi = max(1.0, params.n * max(params.kappa, 0.0) + 4.0 * (math.pi / params.diameter) ** 2)
-        while pred(hi):
-            evals += 1
-            lo = hi
+        while True:
+            passes, f_hi = shoot(hi)
+            if not passes:
+                break
+            lo, f_lo = hi, f_hi
             hi *= 2.0
             if hi > _SIGMA_CAP:
                 raise NonConvergenceError(
                     "phi' kept at most %d sign changes up to sigma = %g; input is ill-posed"
                     % (mode, _SIGMA_CAP)
                 )
-        evals += 1
+    last = None  # the previous trial's predicate value
+    slow = 0  # trials in a row that failed to halve the bracket
     while hi - lo > tol_sigma:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent floats: the bracket cannot shrink further
-        if pred(mid):
-            lo = mid
+        sigma = mid
+        if slow < 2 and math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo > 0.0 >= f_hi:
+            sigma = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+            sigma = min(max(sigma, lo + 0.25 * tol_sigma), hi - 0.25 * tol_sigma)
+            if not lo < sigma < hi:
+                sigma = mid
+        width = hi - lo
+        passes, f = shoot(sigma)
+        if passes:
+            if last is True:  # hi kept twice
+                f_hi *= 0.5
+            lo, f_lo = sigma, f
         else:
-            hi = mid
-        evals += 1
+            if last is False:  # lo kept twice
+                f_lo *= 0.5
+            hi, f_hi = sigma, f
+        last = passes
+        slow = 0 if sigma == mid or hi - lo <= 0.5 * width else slow + 1
     return 0.5 * (lo + hi), lo, hi, evals
 
 
 def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
     """Shooting eigenvalue: sup of sigma keeping phi' positive on [0, D/2].
 
-    The sigma bisection runs on successively doubled integration grids until
-    two successive refinements move the eigenvalue by less than tol/4, so the
-    reported value carries both a tight bracket and a grid-convergence check.
-    A zero of phi' at the endpoint counts as predicate failure (the Neumann
-    condition holds exactly at the eigenvalue).
+    The sigma bracket is narrowed to tol/8 (``_bisect_level``: Illinois steps
+    on phi'(D/2), each decided by the predicate) on successively doubled
+    integration grids until two successive refinements move the eigenvalue by
+    less than tol/4, so the reported value carries both a tight bracket and a
+    grid-convergence check.  Each finer level starts from the previous
+    bracket widened by a margin.  A zero of phi' at the endpoint counts as
+    predicate failure (the Neumann condition holds exactly at the eigenvalue).
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidParamsError(f"tol must be positive, got {tol}")
@@ -268,8 +310,10 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
     steps = _INITIAL_STEPS
     hint = None
     mus: list[float] = []
+    total = 0
     while True:
         mu, lo, hi, evals = _bisect_level(params, tol_sigma, steps, hint)
+        total += evals
         mus.append(mu)
         deltas = [abs(b - a) for a, b in zip(mus[:-1], mus[1:])]
         if len(deltas) >= 2 and deltas[-1] < tol / 4 and deltas[-2] < tol / 4:
@@ -280,6 +324,7 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
                 iterations=evals,
                 tol=hi - lo,
                 steps=steps,
+                evaluations=total,
             )
         margin = max(64.0 * tol, 1e-6 * max(1.0, abs(mu)))
         hint = (lo - margin, hi + margin)
@@ -377,7 +422,9 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
     return x
 
 
-def _fd_singular_value(params: ModelParams, gridpoints: int, index: int) -> float:
+def _fd_singular_value(
+    params: ModelParams, gridpoints: int, index: int, rough: bool = False
+) -> float:
     """index-th smallest singular value (1-based) of the bidiagonal factor.
 
     For x > 0 the Golub-Kahan tridiagonal (one row/column per node and per
@@ -392,14 +439,17 @@ def _fd_singular_value(params: ModelParams, gridpoints: int, index: int) -> floa
     x, so a midpoint at or below x - w is a "below" and one at or above x + w
     an "above" without a count: every decision, and the returned value, is
     bit for bit that of the plain bisection, which runs alone when the guess
-    cannot be verified.
+    cannot be verified.  The 64-cell value that seeds this chain is only a
+    guess, so it is computed ``rough``: its bisection stops once lo > 0 and
+    hi - lo <= 1e-6*lo, and Newton polishes it.
     """
     c = _fd_flux_factor(params, gridpoints)
     c2 = (c * c).tolist()
     want = gridpoints + 1 + index
     below, above = -math.inf, math.inf  # count(below) < want <= count(above)
     if gridpoints > 64:
-        guess = _fd_singular_value(params, max(gridpoints // 8, 64), index)
+        coarse = max(gridpoints // 8, 64)
+        guess = _fd_singular_value(params, coarse, index, rough=coarse == 64)
         x = _newton_singular_value(c2, guess)
         if 0.0 < x < math.inf:
             w = 4e-14 * x
@@ -411,6 +461,8 @@ def _fd_singular_value(params: ModelParams, gridpoints: int, index: int) -> floa
     lo = 0.0
     hi = 2.0 * float(np.max(c))
     while hi - lo > 1e-14 * hi:
+        if rough and 0.0 < lo and hi - lo <= 1e-6 * lo:
+            break
         mid = 0.5 * (lo + hi)
         if mid >= above or (mid > below and _sv_count(c2, mid) >= want):
             hi = mid

@@ -19,7 +19,14 @@ from specgap import (
     sphere_limit_eigenvalue,
 )
 from specgap.specialfn import tk
-from specgap.sturm import _bisect_level, _fd_flux_factor, _fd_singular_value, _sv_count
+from specgap.sturm import (
+    _bisect_level,
+    _fd_flux_factor,
+    _fd_singular_value,
+    _shoot,
+    _shooting_grid,
+    _sv_count,
+)
 
 
 def mu_closed_form_n3(kappa: float, diameter: float) -> float:
@@ -339,6 +346,15 @@ class TestFdBracket:
             # no bracket is proved: the plain bisection counts every midpoint
             assert len(points) > 40
 
+    def test_only_the_guess_floor_stops_early(self, monkeypatch):
+        points = self.fine_counts(monkeypatch, 64)
+        _fd_singular_value(self.PARAMS, 512, 1)
+        guess_counts = len(points)
+        points.clear()
+        _fd_singular_value(self.PARAMS, 64, 1)
+        # 1e-6 relative is about 20 halvings past lo > 0; 1e-14 is about 47
+        assert guess_counts < 30 < len(points)
+
     def test_widened_bracket_at_40000_cells(self, monkeypatch):
         points = self.fine_counts(monkeypatch, 40000)
         got = _fd_singular_value(self.PARAMS, 40000, 1)
@@ -394,3 +410,177 @@ def test_pole_guard_in_integrator():
     object.__setattr__(params, "diameter", 2.0)
     with pytest.raises(PoleError):
         integrate_phi(params, 1.0, steps=64)
+
+
+def reference_count(params: ModelParams, sigma: float, steps: int, mode: int) -> int:
+    """Sign changes of phi' from the early-exit march that stops past ``mode``."""
+    nm1, h, tks = _shooting_grid(params, steps)
+    sigma, h = float(sigma), float(h)  # numpy scalar arithmetic is far slower
+    phi, dphi = 0.0, 1.0
+    rising = True
+    count = 0
+    for i in range(steps):
+        t0, tm, t1 = tks[2 * i], tks[2 * i + 1], tks[2 * i + 2]
+        k1d = nm1 * t0 * dphi - sigma * phi
+        p2, d2 = phi + 0.5 * h * dphi, dphi + 0.5 * h * k1d
+        k2d = nm1 * tm * d2 - sigma * p2
+        p3, d3 = phi + 0.5 * h * d2, dphi + 0.5 * h * k2d
+        k3d = nm1 * tm * d3 - sigma * p3
+        p4, d4 = phi + h * d3, dphi + h * k3d
+        k4d = nm1 * t1 * d4 - sigma * p4
+        phi += h / 6.0 * (dphi + 2.0 * (d2 + d3) + d4)
+        dphi += h / 6.0 * (k1d + 2.0 * (k2d + k3d) + k4d)
+        if (dphi > 0.0) == rising:
+            if abs(dphi) > 1e200 or abs(phi) > 1e200:
+                return count
+        else:
+            rising = not rising
+            count += 1
+            if count > mode:
+                return count
+    return count
+
+
+def reference_level(params, tol_sigma, steps, hint, mode=0):
+    """The plain bisection level: (mu, lo, hi, evaluations)."""
+
+    def pred(sigma):
+        return reference_count(params, sigma, steps, mode) <= mode
+
+    evals = 0
+    lo = hi = None
+    if hint is not None:
+        cand_lo, cand_hi = max(0.0, hint[0]), hint[1]
+        evals += 2
+        if pred(cand_lo) and not pred(cand_hi):
+            lo, hi = cand_lo, cand_hi
+    if lo is None:
+        lo = 0.0
+        hi = max(1.0, params.n * max(params.kappa, 0.0) + 4.0 * (math.pi / params.diameter) ** 2)
+        while pred(hi):
+            evals += 1
+            lo, hi = hi, 2.0 * hi
+        evals += 1
+    while hi - lo > tol_sigma:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+        evals += 1
+    return 0.5 * (lo + hi), lo, hi, evals
+
+
+def reference_eigenvalue(params: ModelParams, tol: float):
+    """first_eigenvalue's grid doubling over reference_level: (lo, hi, steps)."""
+    steps, hint, mus = 128, None, []
+    while True:
+        mu, lo, hi, _ = reference_level(params, tol / 8.0, steps, hint)
+        mus.append(mu)
+        deltas = [abs(b - a) for a, b in zip(mus[:-1], mus[1:])]
+        if len(deltas) >= 2 and deltas[-1] < tol / 4 and deltas[-2] < tol / 4:
+            return lo, hi, steps
+        margin = max(64.0 * tol, 1e-6 * max(1.0, abs(mu)))
+        hint = (lo - margin, hi + margin)
+        steps *= 2
+
+
+class TestIllinoisLevel:
+    """The bracketing loop keeps bisection's grids and brackets in fewer calls."""
+
+    NAMED = [ModelParams(3, -1.0, 2.0), ModelParams(3, 0.5, 3.0), ModelParams(4, -0.7, 2.5)]
+
+    @pytest.mark.parametrize("seed", [1, 2, None])
+    def test_same_grids_and_brackets_as_bisection(self, seed):
+        for params in spectrum_lattice(seed) if seed else self.NAMED:
+            res = first_eigenvalue(params, 1e-9)
+            lo, hi, steps = reference_eigenvalue(params, 1e-9)
+            assert res.steps == steps
+            assert max(res.bracket_lo, lo) <= min(res.bracket_hi, hi)
+            assert res.bracket_hi - res.bracket_lo <= 1e-9 / 8
+            assert res.iterations <= 8
+
+    def test_unhinted_level_needs_a_third_of_the_bisection_trials(self):
+        # plain bisection spends 36-53 trials here; Illinois halving is worth
+        # about a fifth of what remains
+        points = [*spectrum_lattice(1), *spectrum_lattice(2), *self.NAMED]
+        evals = [
+            _bisect_level(params, 1e-9 / 8, 128, None, mode)[3]
+            for params in points
+            for mode in range(3)
+        ]
+        assert max(evals) <= 18
+        assert sum(evals) <= 12 * len(evals)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_count_decides_the_predicate_as_the_early_exit_march(self, mode):
+        rng = np.random.default_rng(mode)
+        for params in [*self.NAMED, ModelParams(10, -1.0, 20.0), ModelParams(2, 0.0, 1000.0)]:
+            steps = 256
+            mu_mode = _bisect_level(params, 1e-6, steps, None, mode)[0]
+            nm1, h, tks = _shooting_grid(params, steps)
+            sigmas = [0.0, mu_mode, *(mu_mode * rng.uniform(0.0, 3.0, size=24))]
+            for sigma in sigmas:
+                count, _, end = _shoot(nm1, sigma, h, steps, tks, mode)
+                assert (count <= mode) == (reference_count(params, sigma, steps, mode) <= mode)
+                if count <= mode + 1 and math.isfinite(end):
+                    assert end == integrate_phi(params, sigma, steps).dphi[-1]
+
+    @pytest.mark.parametrize("end", ["nan", "inf", "constant", "wrong_sign", "skewed"])
+    @pytest.mark.parametrize("mode", [0, 1])
+    @pytest.mark.parametrize("hinted", [False, True])
+    def test_bad_end_values_keep_a_valid_bracket(self, monkeypatch, end, mode, hinted):
+        params = ModelParams(3, -1.0, 2.0)
+        steps, tol_sigma = 256, 1e-9 / 8
+        mu, _, _, _ = reference_level(params, 1e-6, steps, None, mode)
+        hint = (mu - 1e-4, mu + 1e-4) if hinted else None
+        _, plain_lo, plain_hi, plain = reference_level(params, tol_sigma, steps, hint, mode)
+        shoot = specgap.sturm._shoot
+
+        def fake(*args):
+            count, first, value = shoot(*args)
+            passes = count <= args[5]
+            return count, first, {
+                "nan": math.nan,
+                "inf": math.inf,
+                "constant": 1.0,
+                "wrong_sign": -value,
+                # secant points pile up at lo: only the safeguard halves the bracket
+                "skewed": value * (1e-200 if passes else 1e200),
+            }[end]
+
+        monkeypatch.setattr(specgap.sturm, "_shoot", fake)
+        _, lo, hi, evals = _bisect_level(params, tol_sigma, steps, hint, mode)
+        assert 0.0 < hi - lo <= tol_sigma
+        assert reference_count(params, lo, steps, mode) <= mode
+        assert reference_count(params, hi, steps, mode) > mode
+        if end == "skewed":
+            # two clamped trials and one midpoint at worst per halving
+            assert evals <= 3 * plain
+        else:
+            # no usable end value: every trial is the midpoint, as in bisection
+            assert (lo, hi, evals) == (plain_lo, plain_hi, plain)
+
+    def test_evaluations_count_every_predicate_call(self, monkeypatch):
+        calls = []
+        shoot = specgap.sturm._shoot
+        level = specgap.sturm._bisect_level
+        levels = []
+
+        def count_calls(*args):
+            calls.append(args[1])
+            return shoot(*args)
+
+        def record_level(*args):
+            out = level(*args)
+            levels.append(out[3])
+            return out
+
+        monkeypatch.setattr(specgap.sturm, "_shoot", count_calls)
+        monkeypatch.setattr(specgap.sturm, "_bisect_level", record_level)
+        res = first_eigenvalue(ModelParams(3, -1.0, 2.0), 1e-9)
+        assert len(levels) >= 3
+        assert res.evaluations == len(calls) == sum(levels)
+        assert res.iterations == levels[-1]
