@@ -273,7 +273,7 @@ def _bisect_level(
         if not lo < mid < hi:
             break  # adjacent floats: the bracket cannot shrink further
         sigma = mid
-        if slow < 2 and math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo > 0.0 >= f_hi:
+        if slow < 2 and 0.0 < f_lo < math.inf and -math.inf < f_hi <= 0.0:
             sigma = lo + f_lo * (hi - lo) / (f_lo - f_hi)
             sigma = min(max(sigma, lo + 0.25 * tol_sigma), hi - 0.25 * tol_sigma)
             if not lo < sigma < hi:
