@@ -47,6 +47,10 @@ def shi_zhang_bound(n: int, kappa: float, diameter: float) -> float:
     open interval, with the sup realized as a one-sided limit when the vertex
     falls outside.
     """
+    if not isinstance(n, int) or n < 2:
+        raise InvalidParamsError(f"dimension n must be an integer >= 2, got {n!r}")
+    if not (math.isfinite(kappa) and 0.0 < diameter < math.inf):
+        raise InvalidParamsError(f"need finite kappa, positive diameter: {kappa}, {diameter}")
     a = 4.0 * math.pi**2 / diameter**2
     b = (n - 1) * kappa
     vertex = 0.5 + b / (2.0 * a)

@@ -25,25 +25,12 @@ _POLE_TOL = 1e-12
 
 def ck(kappa: float, tau: float) -> float:
     """Generalized cosine: cos, 1, or cosh depending on the sign of kappa."""
-    u = kappa * tau * tau
-    if abs(u) < _SERIES_CUTOFF:
-        # cos(sqrt(u)) = 1 - u/2 + u^2/24 - ... in u = kappa*tau^2
-        return 1.0 - u / 2.0 + u * u / 24.0
-    if kappa > 0:
-        return math.cos(math.sqrt(kappa) * tau)
-    return math.cosh(math.sqrt(-kappa) * tau)
+    return float(ck_array(kappa, tau))
 
 
 def sk(kappa: float, tau: float) -> float:
     """Generalized sine: sin(rt*tau)/rt, tau, or sinh(rt*tau)/rt."""
-    u = kappa * tau * tau
-    if abs(u) < _SERIES_CUTOFF:
-        # sin(sqrt(u))/sqrt(kappa) = tau*(1 - u/6 + u^2/120 - ...)
-        return tau * (1.0 - u / 6.0 + u * u / 120.0)
-    rt = math.sqrt(abs(kappa))
-    if kappa > 0:
-        return math.sin(rt * tau) / rt
-    return math.sinh(rt * tau) / rt
+    return float(sk_array(kappa, tau))
 
 
 def tk(kappa: float, s: float) -> float:
@@ -52,48 +39,47 @@ def tk(kappa: float, s: float) -> float:
     Raises :class:`PoleError` when kappa > 0 and s sits numerically on a pole
     of tan (an odd multiple of pi/(2*sqrt(kappa))).
     """
-    c = ck(kappa, s)
-    w = kappa * sk(kappa, s)
-    if abs(c) < _POLE_TOL * max(1.0, abs(w)):
-        raise PoleError(f"tk({kappa}, {s}): evaluation point is at a pole")
-    return w / c
+    return float(tk_array(kappa, s))
 
 
 def ck_array(kappa: float, tau: np.ndarray) -> np.ndarray:
-    """Vectorized ``ck`` for a fixed kappa."""
+    """Vectorized ``ck`` for a fixed kappa; cosh overflows to inf."""
     tau = np.asarray(tau, dtype=float)
     u = kappa * tau * tau
-    if kappa > 0:
-        exact = np.cos(math.sqrt(kappa) * tau)
-    elif kappa < 0:
-        exact = np.cosh(math.sqrt(-kappa) * tau)
-    else:
-        exact = np.ones_like(tau)
+    rt = math.sqrt(abs(kappa))
+    with np.errstate(over="ignore"):
+        exact = np.cos(rt * tau) if kappa > 0 else np.cosh(rt * tau)
     series = 1.0 - u / 2.0 + u * u / 24.0
     return np.where(np.abs(u) < _SERIES_CUTOFF, series, exact)
 
 
 def sk_array(kappa: float, tau: np.ndarray) -> np.ndarray:
-    """Vectorized ``sk`` for a fixed kappa."""
+    """Vectorized ``sk`` for a fixed kappa; sinh overflows to +-inf."""
     tau = np.asarray(tau, dtype=float)
     u = kappa * tau * tau
-    if kappa > 0:
-        rt = math.sqrt(kappa)
-        exact = np.sin(rt * tau) / rt
-    elif kappa < 0:
-        rt = math.sqrt(-kappa)
-        exact = np.sinh(rt * tau) / rt
+    rt = math.sqrt(abs(kappa))
+    if kappa == 0:
+        exact = tau
     else:
-        exact = tau.copy()
+        with np.errstate(over="ignore"):
+            exact = (np.sin(rt * tau) if kappa > 0 else np.sinh(rt * tau)) / rt
     series = tau * (1.0 - u / 6.0 + u * u / 120.0)
     return np.where(np.abs(u) < _SERIES_CUTOFF, series, exact)
 
 
 def tk_array(kappa: float, s: np.ndarray) -> np.ndarray:
-    """Vectorized ``tk`` for a fixed kappa; raises on any pole hit."""
+    """Vectorized ``tk`` for a fixed kappa; raises on any pole hit.
+
+    Past the overflow of cosh (kappa < 0) the quotient is inf/inf; there tk
+    takes its limit -sqrt(-kappa)*sign(s), and every finite value is kept.
+    """
     s = np.asarray(s, dtype=float)
     c = ck_array(kappa, s)
     w = kappa * sk_array(kappa, s)
     if np.any(np.abs(c) < _POLE_TOL * np.maximum(1.0, np.abs(w))):
         raise PoleError(f"tk_array(kappa={kappa}): a grid point sits on a pole")
-    return w / c
+    with np.errstate(invalid="ignore"):
+        t = w / c
+    if kappa < 0:
+        t = np.where(np.isfinite(t), t, -math.sqrt(-kappa) * np.sign(s))
+    return t

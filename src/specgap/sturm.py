@@ -59,7 +59,6 @@ class PhiTrajectory:
     grid: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    first_dphi_zero: float | None
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,10 @@ def _shoot(
     mode: int,
     phis: np.ndarray | None = None,
     dphis: np.ndarray | None = None,
-) -> tuple[int, int, float]:
-    """RK4 march from (phi, phi') = (0, 1); returns (sign changes of phi', first, end).
+) -> tuple[int, float]:
+    """RK4 march from (phi, phi') = (0, 1); returns (sign changes of phi', end).
 
-    ``first`` is the step in which phi' first stops being positive, -1 if never
-    (zero and NaN count as non-positive); ``end`` is phi' at D/2, NaN if the
+    Zero and NaN values of phi' count as non-positive; ``end`` is phi' at D/2, NaN if the
     march stopped early.  Without output arrays the march stops once the count
     exceeds ``mode + 1`` or the solution blows up: ``count <= mode`` is decided
     as by a march that stops past ``mode``, and ``end`` is known on both sides
@@ -119,7 +117,6 @@ def _shoot(
     phi, dphi = 0.0, 1.0
     rising = True
     count = 0
-    first = -1
     h2 = 0.5 * h
     h6 = h / 6.0
     for i in range(steps):
@@ -144,72 +141,32 @@ def _shoot(
         if (dphi > 0.0) == rising:
             if dphi > big or phi > big or phi < -big:
                 # grew without a further sign change: the count is final on this grid
-                return count, first, math.nan
+                return count, math.nan
         else:
             rising = not rising
             count += 1
-            if first < 0:
-                first = i
             if count > limit:
-                return count, first, math.nan
-    return count, first, dphi
-
-
-def _hermite_dphi_zero(
-    h: float, s0: float, d0: float, dd0: float, d1: float, dd1: float
-) -> float:
-    """Refine the zero of phi' inside one step via its cubic Hermite model.
-
-    ``d0``/``d1`` are phi' at the step ends, ``dd0``/``dd1`` the corresponding
-    phi'' values; the zero is bisected down to 1e-13 in s.
-    """
-    if d1 == 0.0:
-        return s0 + h
-    if not math.isfinite(d1):
-        return s0
-    c0 = d0
-    c1 = h * dd0
-    c2 = -3.0 * d0 - 2.0 * h * dd0 + 3.0 * d1 - h * dd1
-    c3 = 2.0 * d0 + h * dd0 - 2.0 * d1 + h * dd1
-
-    def hermite(th: float) -> float:
-        return c0 + th * (c1 + th * (c2 + th * c3))
-
-    lo, hi = 0.0, 1.0
-    for _ in range(64):
-        if (hi - lo) * h <= 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        if hermite(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return s0 + 0.5 * (lo + hi) * h
+                return count, math.nan
+    return count, dphi
 
 
 def integrate_phi(params: ModelParams, sigma: float, steps: int) -> PhiTrajectory:
     """Integrate the shooting IVP with classical 4th-order steps.
 
-    Runs the shooting kernel over the whole of [0, D/2], recording the
-    trajectory, and refines the first zero of phi' (if any) inside the step
-    the kernel reports via a cubic Hermite model of phi'.  The odd extension
-    of the solution covers [-D/2, 0], so integrating the right half suffices.
+    Runs the shooting kernel over the whole of [0, D/2] and records (phi,
+    phi') at every node.  The odd extension of the solution covers [-D/2, 0],
+    so integrating the right half suffices.
     """
     if steps < 16:
         raise InvalidParamsError(f"steps must be >= 16, got {steps}")
+    if not math.isfinite(sigma):
+        raise InvalidParamsError(f"sigma must be finite, got {sigma}")
     nm1, h, tks = _shooting_grid(params, steps)
     phis = np.zeros(steps + 1)
     dphis = np.ones(steps + 1)
-    _, i, _ = _shoot(nm1, sigma, h, steps, tks, 0, phis, dphis)
-    first_zero = None
-    if i >= 0:
-        p0, p1 = phis[i : i + 2].tolist()
-        d0, d1 = dphis[i : i + 2].tolist()
-        dd0 = nm1 * tks[2 * i] * d0 - sigma * p0
-        dd1 = nm1 * tks[2 * i + 2] * d1 - sigma * p1
-        first_zero = _hermite_dphi_zero(h, i * h, d0, dd0, d1, dd1)
+    _shoot(nm1, sigma, h, steps, tks, 0, phis, dphis)
     grid = np.arange(steps + 1) * h
-    return PhiTrajectory(sigma=sigma, grid=grid, phi=phis, dphi=dphis, first_dphi_zero=first_zero)
+    return PhiTrajectory(sigma=sigma, grid=grid, phi=phis, dphi=dphis)
 
 
 def _bisect_level(
@@ -239,7 +196,7 @@ def _bisect_level(
     def shoot(sigma: float) -> tuple[bool, float]:
         nonlocal evals
         evals += 1
-        count, _, end = _shoot(nm1, sigma, h, steps, tks, mode)
+        count, end = _shoot(nm1, sigma, h, steps, tks, mode)
         return count <= mode, sign * end
 
     lo = hi = None

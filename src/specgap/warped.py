@@ -55,6 +55,8 @@ def ricci_bounds(n: int, kappa: float, a: float, half_width: float | None = None
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidParamsError(f"dimension n must be an integer >= 2, got {n!r}")
+    if not math.isfinite(kappa):
+        raise InvalidParamsError(f"curvature bound must be finite, got {kappa}")
     if not (a > 0 and math.isfinite(a)):
         raise InvalidParamsError(f"warp amplitude must be positive, got {a}")
     radial = (n - 1) * kappa
@@ -64,9 +66,9 @@ def ricci_bounds(n: int, kappa: float, a: float, half_width: float | None = None
             raise InvalidParamsError(f"half_width must be positive, got {half_width}")
         if kappa > 0 and half_width >= math.pi / (2.0 * math.sqrt(kappa)):
             raise InvalidParamsError("half_width reaches the degeneracy of ck for kappa > 0")
-        c0 = ck(kappa, 0.0) ** 2
-        c1 = ck(kappa, half_width) ** 2
-        tangential_min = radial + min(coef / c0, coef / c1)
+        # ck(0) = 1; dividing twice keeps coef/ck^2 finite where ck^2 overflows
+        c1 = ck(kappa, half_width)
+        tangential_min = radial + min(coef, coef / c1 / c1)
     elif kappa == 0.0:
         tangential_min = radial + coef
     elif kappa < 0.0:
@@ -195,6 +197,8 @@ def verify_moc(
     quantity that vanishes where the modulus bound is attained.
     """
     m_u = len(solution.nodes) - 1
+    if not math.isfinite(tol):
+        raise InvalidParamsError(f"tol must be finite, got {tol}")
     if not phi_series:
         raise InvalidParamsError("phi_series is empty")
     for prof in phi_series:
@@ -257,8 +261,10 @@ def fit_decay(osc_series: Sequence[tuple[float, float]], window: float) -> float
         )
     t = np.array([p[0] for p in tail])
     osc = np.array([p[1] for p in tail])
-    if np.any(osc <= 0.0):
-        raise InvalidParamsError("oscillation must be positive throughout the fit window")
+    if not np.all((osc > 0.0) & np.isfinite(osc) & np.isfinite(t)):
+        raise InvalidParamsError(
+            "times and oscillations must be finite, oscillations positive, in the fit window"
+        )
     y = np.log(osc)
     t_c = t - t.mean()
     denom = float(np.dot(t_c, t_c))

@@ -41,6 +41,15 @@ class TestShiZhang:
                 half_value = math.pi**2 / d**2 + (n - 1) * kappa / 2.0
                 assert shi_zhang_bound(n, kappa, d) >= half_value - 1e-14
 
+    @pytest.mark.parametrize(
+        "n, kappa, diameter",
+        [(3, 0.0, 0.0), (3, 0.0, -1.0), (3, 0.0, math.nan), (3, 0.0, math.inf),
+         (3, math.nan, 2.0), (3, math.inf, 2.0), (1, 0.0, 2.0), (2.5, 0.0, 2.0)],
+    )
+    def test_invalid_inputs_rejected(self, n, kappa, diameter):
+        with pytest.raises(InvalidParamsError):
+            shi_zhang_bound(n, kappa, diameter)
+
 
 class TestClassicalBounds:
     def test_flat_case_everything_coincides(self):

@@ -243,6 +243,18 @@ class TestRicciCommand:
         _, out, _ = run_cli(capsys, "ricci", "--n", "3", "--kappa", "2", "--diameter", "1")
         assert json.loads(out)["warp_a"] == 0.25
 
+    @pytest.mark.parametrize("diameter", ["720", "2000"])
+    def test_huge_negative_curvature_diameter(self, diameter):
+        # ck^2 at D/2 overflows a float; the fiber term it divides fades to 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgap.cli", "ricci", "--kappa", "-1", "--diameter", diameter],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["tangential_min"] == payload["radial"] == -2
+
 
 class TestSweepCommand:
     def test_rows_sorted(self, capsys):

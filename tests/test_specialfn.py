@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,13 +90,28 @@ def test_tk_pole_detection():
 
 
 def test_array_versions_match_scalars():
+    # the scalars are one-point calls of the array versions: equal bit for bit
     taus = np.linspace(-2.5, 2.5, 41)
     for kappa in (-1.5, 0.0, 0.3):
-        np.testing.assert_allclose(ck_array(kappa, taus), [ck(kappa, t) for t in taus], rtol=1e-15)
-        np.testing.assert_allclose(sk_array(kappa, taus), [sk(kappa, t) for t in taus], rtol=1e-15)
-        np.testing.assert_allclose(
-            tk_array(kappa, taus), [tk(kappa, t) for t in taus], rtol=1e-14, atol=1e-300
-        )
+        np.testing.assert_array_equal(ck_array(kappa, taus), [ck(kappa, t) for t in taus])
+        np.testing.assert_array_equal(sk_array(kappa, taus), [sk(kappa, t) for t in taus])
+        np.testing.assert_array_equal(tk_array(kappa, taus), [tk(kappa, t) for t in taus])
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -4.0, -0.25])
+def test_tk_finite_past_cosh_overflow(kappa):
+    # tk = -rt*tanh(rt*s) is bounded; cosh and sinh overflow at rt*|s| ~ 710
+    rt = math.sqrt(-kappa)
+    s = np.array([-800.0, -1.0, 0.0, 1.0, 700.0, 800.0]) / rt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = tk_array(kappa, s)
+        scalars = [tk(kappa, x) for x in (-800.0 / rt, 800.0 / rt)]
+        assert ck(kappa, 800.0 / rt) == math.inf
+        assert sk(kappa, -800.0 / rt) == -math.inf
+    assert np.all(np.isfinite(values))
+    np.testing.assert_allclose(values, -rt * np.tanh(rt * s), rtol=1e-15)
+    assert scalars == [rt, -rt]
 
 
 def test_tk_array_pole_detection():

@@ -86,7 +86,6 @@ class TestIntegratePhi:
         traj = integrate_phi(ModelParams(3, 0.0, math.pi), 0.0, steps=1024)
         assert np.interp(1.0, traj.grid, traj.phi) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(traj.dphi, 1.0, atol=1e-12)
-        assert traj.first_dphi_zero is None
 
     def test_sk_solves_ivp_at_sigma_n_kappa(self):
         # sigma = n*kappa makes sk the exact solution (here sin on [0, 1])
@@ -101,15 +100,14 @@ class TestIntegratePhi:
         assert np.all(d > 0)
         np.testing.assert_allclose(d, d[0], rtol=1e-12)
 
-    def test_first_dphi_zero_detected_and_refined(self):
-        # kappa = 0: phi' = cos(sqrt(sigma) s) vanishes at pi/(2 sqrt(sigma))
-        sigma = 9.0
-        traj = integrate_phi(ModelParams(2, 0.0, math.pi), sigma, steps=512)
-        assert traj.first_dphi_zero == pytest.approx(math.pi / (2 * math.sqrt(sigma)), abs=1e-9)
-
     def test_steps_validated(self):
         with pytest.raises(InvalidParamsError):
             integrate_phi(ModelParams(2, 0.0, 1.0), 1.0, steps=8)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidParamsError):
+            integrate_phi(ModelParams(3, -1.0, 2.0), sigma, 64)
 
 
 class TestFirstEigenvalue:
@@ -146,11 +144,9 @@ class TestFirstEigenvalue:
         traj_lo = integrate_phi(ModelParams(4, -0.7, 2.5), res.bracket_lo, res.steps)
         assert traj_lo.sigma == res.bracket_lo
         assert np.all(traj_lo.dphi > 0)
-        assert traj_lo.first_dphi_zero is None
-        # and fails at bracket_hi: a zero of phi' appears inside [0, D/2]
+        # and fails at bracket_hi: phi' stops being positive inside [0, D/2]
         traj_hi = integrate_phi(ModelParams(4, -0.7, 2.5), res.bracket_hi, res.steps)
-        assert traj_hi.first_dphi_zero is not None
-        assert traj_hi.first_dphi_zero <= 1.25 + 1e-12
+        assert not np.all(traj_hi.dphi > 0)
 
     def test_numpy_scalar_params(self):
         ref = first_eigenvalue(ModelParams(3, -1.0, 2.0), 1e-9)
@@ -523,7 +519,7 @@ class TestIllinoisLevel:
             nm1, h, tks = _shooting_grid(params, steps)
             sigmas = [0.0, mu_mode, *(mu_mode * rng.uniform(0.0, 3.0, size=24))]
             for sigma in sigmas:
-                count, _, end = _shoot(nm1, sigma, h, steps, tks, mode)
+                count, end = _shoot(nm1, sigma, h, steps, tks, mode)
                 assert (count <= mode) == (reference_count(params, sigma, steps, mode) <= mode)
                 if count <= mode + 1 and math.isfinite(end):
                     assert end == integrate_phi(params, sigma, steps).dphi[-1]
@@ -540,9 +536,9 @@ class TestIllinoisLevel:
         shoot = specgap.sturm._shoot
 
         def fake(*args):
-            count, first, value = shoot(*args)
+            count, value = shoot(*args)
             passes = count <= args[5]
-            return count, first, {
+            return count, {
                 "nan": math.nan,
                 "inf": math.inf,
                 "constant": 1.0,

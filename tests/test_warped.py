@@ -98,6 +98,14 @@ class TestRicciBounds:
             )
             assert rep.tangential_min == pytest.approx(float(np.min(dense)), rel=1e-12)
 
+    @pytest.mark.parametrize("half_width", [360.0, 1000.0])
+    def test_overflowing_ck_leaves_a_finite_report(self, half_width):
+        # ck^2 overflows past cosh(355); the fiber term coef/ck^2 fades to 0
+        for n, a in [(3, 1.0), (4, 1e6), (5, 1e-3)]:
+            rep = ricci_bounds(n, -1.0, a, half_width=half_width)
+            assert rep.tangential_min == rep.radial == -(n - 1)
+            assert rep.admissible
+
     def test_validation(self):
         with pytest.raises(InvalidParamsError):
             ricci_bounds(1, 0.0, 1.0)
@@ -105,6 +113,9 @@ class TestRicciBounds:
             ricci_bounds(3, 0.0, -1.0)
         with pytest.raises(InvalidParamsError):
             ricci_bounds(3, 1.0, 1.0, half_width=math.pi / 2)
+        for kappa in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParamsError):
+                ricci_bounds(3, kappa, 1.0)
 
 
 class TestWarpedMetric:
@@ -233,6 +244,13 @@ class TestVerifyMoc:
         with pytest.raises(InvalidParamsError):
             verify_moc(sol, [], 1e-3)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # a NaN or infinite tol would pass every pair without testing it
+        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1])
+        with pytest.raises(InvalidParamsError):
+            verify_moc(sol, phis, tol)
+
 
 class TestFitDecay:
     def test_exact_exponential(self):
@@ -256,6 +274,14 @@ class TestFitDecay:
         bad = [(0.1 * k, 1.0 - 0.2 * k) for k in range(10)]
         with pytest.raises(InvalidParamsError):
             fit_decay(bad, window=1.0)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, index, value):
+        series = [[0.1 * k, math.exp(-0.1 * k)] for k in range(20)]
+        series[-3][index] = value
+        with pytest.raises(InvalidParamsError):
+            fit_decay([tuple(p) for p in series], window=1.0)
 
 
 class TestSeededData:
