@@ -42,6 +42,9 @@ _AUTO_EPS_SCALE = 1e-8
 # 2.1e7 explicit steps.
 _MAX_STEPS = 1 << 26
 
+# An adaptive p-Laplacian run projects its step count every this many steps.
+_BUDGET_CHECK = 1 << 16
+
 # Explicit heat steps applied by one banded propagator block.
 _BLOCK = 64
 
@@ -170,8 +173,10 @@ class StepControls:
     Output times snap to the nearest step.  An evolution whose state at an
     output is not finite raises :class:`NonConvergenceError`, as does one
     needing more than 2^26 steps: a run with a known dt (heat, or
-    ``fixed_dt`` set) before its first step, an adaptive p-Laplacian run once
-    its step count passes 2^26.
+    ``fixed_dt`` set) before its first step; an adaptive p-Laplacian run once
+    its dt has settled (grown under 1 % over the last 2^16 steps) and the
+    remaining steps at that dt would pass 2^26, or else once its step count
+    passes 2^26.
     """
 
     cfl: float = 0.4
@@ -286,8 +291,11 @@ def _march(
     Step budget: when dt is known before the first step (the heat flux, or
     ``fixed_dt`` set), a run whose step count ceil(t_last/dt) exceeds
     _MAX_STEPS raises :class:`NonConvergenceError` before stepping.  An
-    adaptive p-Laplacian run, whose dt follows the data, raises once its
-    step count passes _MAX_STEPS.
+    adaptive p-Laplacian run, whose dt follows the data, records dt after its
+    first step and then every _BUDGET_CHECK steps.  It raises when dt grew by
+    under 1 % since the last record and k + (t_last - t)/dt exceeds
+    _MAX_STEPS, and in any case once its step count passes _MAX_STEPS.  The
+    test shares the one comparison per step with the step-count limit.
 
     On the heat flux alpha = beta = 1, so dt and the step matrix M are fixed:
     while the next output lies beyond the next _BLOCK steps those steps are
@@ -356,6 +364,10 @@ def _march(
     ue = np.empty(len(u) + 2)
     t = 0.0
     k = 0
+    # an adaptive run records its dt after the first step, then projects its
+    # step count every _BUDGET_CHECK steps
+    check_at = 1 if dt is None else _MAX_STEPS + 1
+    dt_checked = 0.0  # no dt yet: the first check only records one
     stepping = False  # heat: stepping singly until the next output is recorded
     # a blown-up state is refused at the next output; numpy's overflow
     # warnings on the way there say nothing more, nor does 0 ** negative
@@ -419,8 +431,18 @@ def _march(
             u = u_new
             t = t_new
             k += 1
-            if k > _MAX_STEPS:
-                raise NonConvergenceError("time stepping exceeded %d steps" % _MAX_STEPS)
+            if k >= check_at and pending:
+                if k > _MAX_STEPS:
+                    raise NonConvergenceError("time stepping exceeded %d steps" % _MAX_STEPS)
+                # dt has settled (grown under 1 %) and the rest cannot fit the budget
+                projected = k + (pending[-1] - t) / dt
+                if dt < 1.01 * dt_checked and projected > _MAX_STEPS:
+                    raise NonConvergenceError(
+                        "t_end = %g at dt = %g needs about %d explicit steps, over the budget of %d"
+                        % (t_end, dt, projected, _MAX_STEPS)
+                    )
+                dt_checked = dt
+                check_at = min(k + _BUDGET_CHECK, _MAX_STEPS + 1)
     return outputs
 
 

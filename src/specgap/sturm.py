@@ -11,16 +11,19 @@ Two independent routes to the same number:
   secant) steps on the endpoint value phi'(D/2), which is smooth in sigma
   and vanishes at the eigenvalue, with the midpoint as fallback.  Mode 0 is
   the eigenvalue: there phi' first vanishes at the endpoint, which is
-  exactly the Neumann condition of the weighted form.
+  exactly the Neumann condition of the weighted form.  From the third grid
+  on, each level starts from a tol/8 bracket around the RK4 (h^4)
+  prediction from the two coarser levels, stepped outward if it misses.
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-count bisection on the zero-diagonal
   Golub-Kahan tridiagonal of its bidiagonal factor.  Newton on the same
-  recurrence, started from the value on an 8x coarser grid, locates a narrow
-  bracket that two Sturm counts prove; the bisection then skips the counts
-  outside it.  Every bisection decision, and so every returned value, is bit
-  for bit that of the plain bisection.  Serves as a cross-check oracle for
-  the shooting route and never reads its result.
+  recurrence, started from the value on an 8x coarser grid (or, for the
+  fine solve of the extrapolated oracle, from the coarse solve's value),
+  locates a narrow bracket that two Sturm counts prove; the bisection then
+  skips the counts outside it.  Every bisection decision, and so every
+  returned value, is bit for bit that of the plain bisection.  Serves as a
+  cross-check oracle for the shooting route and never reads its result.
 
 The two forms agree because ``(ck^(n-1))'/ck^(n-1) = -(n-1)*tk``.
 """
@@ -188,6 +191,12 @@ def _bisect_level(
     when the same end is kept twice.  Otherwise, and after two trials in a
     row that failed to halve the bracket, the trial point is the midpoint, so
     the bracket at least halves in every three trials.
+
+    A ``hint`` (lo, hi) should have lo pass and hi fail.  An end that does
+    not becomes the other end, and the bracket then steps outward by widths
+    growing 4x from the hint's width until it holds the eigenvalue: down to
+    sigma = 0, which passes without a shot, or up to _SIGMA_CAP.  Without a
+    hint the bracket grows 2x upward from [0, a curvature-scaled guess].
     """
     nm1, h, tks = _shooting_grid(params, steps)
     sign = -1.0 if mode % 2 else 1.0
@@ -199,15 +208,33 @@ def _bisect_level(
         count, end = _shoot(nm1, sigma, h, steps, tks, mode)
         return count <= mode, sign * end
 
-    lo = hi = None
     if hint is not None:
-        cand_lo, cand_hi = max(0.0, hint[0]), hint[1]
-        passes, f_lo = shoot(cand_lo)
+        lo = max(0.0, hint[0])
+        hi = max(lo, hint[1])
+        step = max(hi - lo, tol_sigma)
+        passes, f_lo = shoot(lo)
         if passes:
-            passes, f_hi = shoot(cand_hi)
-            if not passes:
-                lo, hi = cand_lo, cand_hi
-    if lo is None:
+            passes, f_hi = shoot(hi)
+            while passes:  # the hint lies below the eigenvalue: step up
+                if hi >= _SIGMA_CAP:
+                    raise NonConvergenceError(
+                        "phi' kept at most %d sign changes up to sigma = %g; input is ill-posed"
+                        % (mode, _SIGMA_CAP)
+                    )
+                lo, f_lo = hi, f_hi
+                step *= 4.0
+                hi = min(lo + step, _SIGMA_CAP)
+                passes, f_hi = shoot(hi)
+        else:  # the hint lies above the eigenvalue: step down
+            while not passes:
+                hi, f_hi = lo, f_lo
+                step *= 4.0
+                lo = hi - step
+                if lo <= 0.0:
+                    lo, f_lo = 0.0, math.nan  # sigma = 0 passes (see below)
+                    break
+                passes, f_lo = shoot(lo)
+    else:
         # sigma = 0 always satisfies the predicate: phi' solves a first-order
         # linear equation with positive initial data, so it never changes sign.
         lo, f_lo = 0.0, math.nan
@@ -257,9 +284,13 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
     on phi'(D/2), each decided by the predicate) on successively doubled
     integration grids until two successive refinements move the eigenvalue by
     less than tol/4, so the reported value carries both a tight bracket and a
-    grid-convergence check.  Each finer level starts from the previous
-    bracket widened by a margin.  A zero of phi' at the endpoint counts as
-    predicate failure (the Neumann condition holds exactly at the eigenvalue).
+    grid-convergence check.  The second level starts from the first bracket
+    widened by a margin.  Later levels start from a bracket just under tol/8
+    wide centred on mu_k + (mu_k - mu_(k-1))/16, the next value that RK4's h^4
+    error law predicts; ``_bisect_level`` steps outward from a hint that
+    misses, and the predicate alone decides every trial.  A zero of phi' at
+    the endpoint counts as predicate failure (the Neumann condition holds
+    exactly at the eigenvalue).
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidParamsError(f"tol must be positive, got {tol}")
@@ -283,8 +314,16 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
                 steps=steps,
                 evaluations=total,
             )
-        margin = max(64.0 * tol, 1e-6 * max(1.0, abs(mu)))
-        hint = (lo - margin, hi + margin)
+        if len(mus) >= 2:
+            # RK4's error falls 16x per doubling: predict the next level.  Two
+            # ulps less than tol_sigma/2 keep the rounded hint within
+            # tol_sigma, so a hint that holds the eigenvalue needs no trial.
+            guess = mu + (mu - mus[-2]) / 16.0
+            half = max(0.5 * tol_sigma - 2.0 * math.ulp(guess), 0.0)
+            hint = (guess - half, guess + half)
+        else:
+            margin = max(64.0 * tol, 1e-6 * max(1.0, abs(mu)))
+            hint = (lo - margin, hi + margin)
         steps *= 2
         if steps > _MAX_STEPS:
             raise NonConvergenceError(
@@ -359,7 +398,10 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
 
     One pass of the Sturm recurrence q_i = -x - c2_i/q_(i-1) also carries
     q_i' = -1 + c2_i*q_(i-1)'/q_(i-1)^2, and det'/det = sum q_i'/q_i.  Stops
-    once a step is at most 1e-14*x, or after 6 steps; NaN on a zero pivot.
+    once a step is at most 1e-9*x (convergence is quadratic, so the error
+    left is of the order of that step squared), or after 6 steps; NaN on a
+    zero pivot.  The result is only a guess: two Sturm counts prove any
+    bracket built on it.
     """
     try:
         for _ in range(6):
@@ -372,7 +414,7 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
                 s += dq / q
             step = 1.0 / s
             x -= step
-            if abs(step) <= 1e-14 * x:
+            if abs(step) <= 1e-9 * x:
                 break
     except ZeroDivisionError:
         return math.nan
@@ -380,7 +422,11 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
 
 
 def _fd_singular_value(
-    params: ModelParams, gridpoints: int, index: int, rough: bool = False
+    params: ModelParams,
+    gridpoints: int,
+    index: int,
+    rough: bool = False,
+    guess: float | None = None,
 ) -> float:
     """index-th smallest singular value (1-based) of the bidiagonal factor.
 
@@ -389,24 +435,28 @@ def _fd_singular_value(
     sigma_k < x exactly when the Sturm count reaches gridpoints + 1 + k.
 
     The bisection from [0, 2*max c] to a relative width of 1e-14 decides
-    every midpoint by that count.  Above 64 cells, Newton polishes the same
-    index's value on an 8x coarser grid (at least 64 cells) into x, and
-    [x - w, x + w] is accepted only when count(x - w) < want <= count(x + w),
-    with w = 4e-14*x widened 4x up to three times.  The count is monotone in
-    x, so a midpoint at or below x - w is a "below" and one at or above x + w
-    an "above" without a count: every decision, and the returned value, is
-    bit for bit that of the plain bisection, which runs alone when the guess
-    cannot be verified.  The 64-cell value that seeds this chain is only a
-    guess, so it is computed ``rough``: its bisection stops once lo > 0 and
+    every midpoint by that count.  Newton polishes ``guess`` into x; without
+    one, above 64 cells, the guess is the same index's value on an 8x
+    coarser grid (at least 64 cells), as in the coarse solve of
+    ``sl_fd_oracle_extrapolated``, whose fine solve is seeded by the coarse
+    value.  [x - w, x + w] is accepted only when
+    count(x - w) < want <= count(x + w), with w = 4e-14*x widened 4x up to
+    three times.  The count is monotone in x, so a midpoint at or below
+    x - w is a "below" and one at or above x + w an "above" without a count:
+    every decision, and the returned value, is bit for bit that of the plain
+    bisection, which runs alone when the guess cannot be verified.  The
+    64-cell value that seeds the coarser chain is only a guess, so it is
+    computed ``rough``: its bisection stops once lo > 0 and
     hi - lo <= 1e-6*lo, and Newton polishes it.
     """
     c = _fd_flux_factor(params, gridpoints)
     c2 = (c * c).tolist()
     want = gridpoints + 1 + index
     below, above = -math.inf, math.inf  # count(below) < want <= count(above)
-    if gridpoints > 64:
+    if guess is None and gridpoints > 64:
         coarse = max(gridpoints // 8, 64)
         guess = _fd_singular_value(params, coarse, index, rough=coarse == 64)
+    if guess is not None:
         x = _newton_singular_value(c2, guess)
         if 0.0 < x < math.inf:
             w = 4e-14 * x
@@ -436,17 +486,29 @@ def sl_fd_oracle(params: ModelParams, gridpoints: int) -> float:
     smallest is zero on constants by construction, and is excluded here as
     the structural null space of the bidiagonal factorization).
     """
+    sigma = _fd_first_singular_value(params, gridpoints)
+    return sigma * sigma
+
+
+def _fd_first_singular_value(
+    params: ModelParams, gridpoints: int, guess: float | None = None
+) -> float:
+    """The singular value whose square is ``sl_fd_oracle``'s value, checked."""
     if gridpoints < 64:
         raise InvalidParamsError(f"gridpoints must be >= 64, got {gridpoints}")
-    sigma = _fd_singular_value(params, gridpoints, 1)
+    sigma = _fd_singular_value(params, gridpoints, 1, guess=guess)
     value = sigma * sigma
     if not (value > 0.0 and math.isfinite(value)):
         raise NonConvergenceError("FD oracle value %r is not finite and positive" % value)
-    return value
+    return sigma
 
 
 def sl_fd_oracle_extrapolated(params: ModelParams, gridpoints: int) -> float:
-    """Richardson extrapolation cancelling the second-order error term."""
-    coarse = sl_fd_oracle(params, gridpoints)
-    fine = sl_fd_oracle(params, 2 * gridpoints)
-    return (4.0 * fine - coarse) / 3.0
+    """Richardson extrapolation cancelling the second-order error term.
+
+    Newton on the 2*gridpoints grid starts from the gridpoints solve's
+    singular value, which needs no coarser seed chain of its own.
+    """
+    coarse = _fd_first_singular_value(params, gridpoints)
+    fine = _fd_first_singular_value(params, 2 * gridpoints, coarse)
+    return (4.0 * (fine * fine) - coarse * coarse) / 3.0

@@ -118,6 +118,18 @@ class TestEvolveCommand:
         assert proc.stdout == ""
         assert "t_end = 1e+06" in proc.stderr and "640000000" in proc.stderr
 
+    def test_adaptive_plaplacian_step_budget_exits_3(self):
+        # dt settles near 7.8e-4, so about 1.3e8 steps: refused once dt has
+        # settled, long before the step count reaches the budget
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgap.cli", "evolve", "--flux", "plap:3",
+             "--t-end", "1e5", "--grid", "16"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "t_end = 100000" in proc.stderr and "67108864" in proc.stderr
+
     def test_blown_up_march_exits_3(self, capsys, recwarn):
         code, out, err = run_cli(capsys, "evolve", "--kappa", "-4000", "--grid", "16",
                                  "--t-end", "100")

@@ -4,6 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import specgap.moc_pde
 from specgap import (
     CFLViolationError,
     DegenerateFluxError,
@@ -377,6 +378,34 @@ class TestEvolvePLaplacian:
         for a, b in zip(out_lo, out_hi):
             assert a.t == b.t
             assert np.all(a.values <= b.values + 1e-14)
+
+    def test_adaptive_step_budget_is_projected(self, monkeypatch):
+        # dt settles near 7.8e-4 on 16 cells, so t = 50 needs about 64000 steps
+        params = ModelParams(3, 0.0, 2.0)
+        grid = Grid1D(1.0, 16)
+        phi0 = Profile(grid=grid, t=0.0, values=np.sin(0.5 * math.pi * grid.nodes))
+        flux = Flux.plaplacian(3.0)
+        ctrl = StepControls(output_times=[0.1, 0.5])
+        before = evolve(flux, params, phi0, t_end=0.5, controls=ctrl)
+        monkeypatch.setattr(specgap.moc_pde, "_MAX_STEPS", 4096)
+        monkeypatch.setattr(specgap.moc_pde, "_BUDGET_CHECK", 256)
+        # about 640 steps: within the budget, and stepped exactly as before
+        after = evolve(flux, params, phi0, t_end=0.5, controls=ctrl)
+        for a, b in zip(before, after):
+            assert a.t == b.t
+            assert np.array_equal(a.values, b.values)
+        steps = []
+        step_size = specgap.moc_pde._step_size
+
+        def count(*args):
+            steps.append(args[2])  # one call per step, at its start time
+            return step_size(*args)
+
+        monkeypatch.setattr(specgap.moc_pde, "_step_size", count)
+        with pytest.raises(NonConvergenceError, match="t_end = 50 .* budget of 4096"):
+            evolve(flux, params, phi0, t_end=50.0)
+        # refused by the projection at a check, long before the step count
+        assert len(steps) < 4096 and len(steps) % 256 == 1
 
     def test_degenerate_fast_diffusion_blows_cfl(self):
         params = ModelParams(2, 0.0, 2.0)

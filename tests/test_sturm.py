@@ -351,6 +351,19 @@ class TestFdBracket:
         # 1e-6 relative is about 20 halvings past lo > 0; 1e-14 is about 47
         assert guess_counts < 30 < len(points)
 
+    def test_fine_solve_is_seeded_by_the_coarse_one(self, monkeypatch):
+        for params in (self.PARAMS, *self.FIXED[:2]):
+            lengths = set()
+
+            def spy(c2, x):
+                lengths.add(len(c2))
+                return _sv_count(c2, x)
+
+            monkeypatch.setattr(specgap.sturm, "_sv_count", spy)
+            sl_fd_oracle_extrapolated(params, 2048)
+            # 64 (rough) -> 256 -> 2048 -> 4096 cells: no 512-cell seed of its own
+            assert lengths == {128, 512, 4096, 8192}
+
     def test_widened_bracket_at_40000_cells(self, monkeypatch):
         points = self.fine_counts(monkeypatch, 40000)
         got = _fd_singular_value(self.PARAMS, 40000, 1)
@@ -497,6 +510,33 @@ class TestIllinoisLevel:
             assert max(res.bracket_lo, lo) <= min(res.bracket_hi, hi)
             assert res.bracket_hi - res.bracket_lo <= 1e-9 / 8
             assert res.iterations <= 8
+
+    @pytest.mark.parametrize("seed", [1, 2, None])
+    def test_predicted_hint_leaves_few_final_trials(self, seed):
+        points = spectrum_lattice(seed) if seed else self.NAMED
+        iterations = [first_eigenvalue(params, 1e-9).iterations for params in points]
+        assert max(iterations) <= 4
+        # a hint that holds the eigenvalue is narrow enough to need no trial
+        assert sum(iterations) <= 2.5 * len(iterations)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_wrong_hints_step_outward(self, mode):
+        steps, tol_sigma = 256, 1e-9 / 8
+        for params in self.NAMED:
+            mu = _bisect_level(params, 1e-6, steps, None, mode)[0]
+            w = tol_sigma
+            hints = [
+                (mu - 1e-6 - w, mu - 1e-6),  # wholly below
+                (0.5 * mu, 0.5 * mu + w),
+                (mu + 1e-6, mu + 1e-6 + w),  # wholly above
+                (100.0 * mu, 100.0 * mu + w),
+            ]
+            for hint in hints:
+                _, lo, hi, evals = _bisect_level(params, tol_sigma, steps, hint, mode)
+                assert reference_count(params, lo, steps, mode) <= mode
+                assert reference_count(params, hi, steps, mode) > mode
+                assert 0.0 < hi - lo <= tol_sigma
+                assert evals < 64
 
     def test_unhinted_level_needs_a_third_of_the_bisection_trials(self):
         # plain bisection spends 36-53 trials here; Illinois halving is worth
