@@ -138,7 +138,7 @@ def cmd_eigen(args):
             "bracket_lo": res.bracket_lo,
             "bracket_hi": res.bracket_hi,
             "iterations": res.iterations,
-            "tol_achieved": res.tol,
+            "tol_achieved": res.bracket_hi - res.bracket_lo,
             "steps": res.steps,
         }
     )

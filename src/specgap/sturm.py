@@ -11,9 +11,12 @@ Two independent routes to the same number:
   secant) steps on the endpoint value phi'(D/2), which is smooth in sigma
   and vanishes at the eigenvalue, with the midpoint as fallback.  Mode 0 is
   the eigenvalue: there phi' first vanishes at the endpoint, which is
-  exactly the Neumann condition of the weighted form.  From the third grid
+  exactly the Neumann condition of the weighted form.  The first grid
+  starts from the bracket (0, a curvature-scaled guess); from the third grid
   on, each level starts from a tol/8 bracket around the RK4 (h^4)
-  prediction from the two coarser levels, stepped outward if it misses.
+  prediction from the two coarser levels.  One outward search, by doubling
+  widths, moves any starting bracket that misses, and sigma <= 0, where the
+  predicate provably holds, is never shot.
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-count bisection on the zero-diagonal
@@ -77,7 +80,6 @@ class EigenResult:
     bracket_lo: float
     bracket_hi: float
     iterations: int
-    tol: float
     steps: int
     evaluations: int
 
@@ -192,64 +194,54 @@ def _bisect_level(
     row that failed to halve the bracket, the trial point is the midpoint, so
     the bracket at least halves in every three trials.
 
-    A ``hint`` (lo, hi) should have lo pass and hi fail.  An end that does
-    not becomes the other end, and the bracket then steps outward by widths
-    growing 4x from the hint's width until it holds the eigenvalue: down to
-    sigma = 0, which passes without a shot, or up to _SIGMA_CAP.  Without a
-    hint the bracket grows 2x upward from [0, a curvature-scaled guess].
+    A ``hint`` (lo, hi) should have lo pass and hi fail; no hint means the
+    hint (0, a curvature-scaled guess).  Every sigma <= 0 passes without a
+    shot, so lo is clamped to 0 and sigma = 0 costs nothing.  An end that
+    fails its test becomes the other end, and one outward search moves the
+    bracket until it holds the eigenvalue: each new end lies one step beyond
+    the old one, and the step starts at the hint's width and doubles after
+    each use.  Unhinted, the search tries guess, 2*guess, 4*guess, ...  Down
+    it stops at sigma = 0; up it raises NonConvergenceError at _SIGMA_CAP.
     """
     nm1, h, tks = _shooting_grid(params, steps)
     sign = -1.0 if mode % 2 else 1.0
     evals = 0
 
     def shoot(sigma: float) -> tuple[bool, float]:
+        if sigma <= 0.0:
+            # (ck^(n-1)*phi')' = -sigma*ck^(n-1)*phi >= 0 while phi >= 0, so
+            # phi' stays positive: the predicate holds without a march
+            return True, math.nan
         nonlocal evals
         evals += 1
         count, end = _shoot(nm1, sigma, h, steps, tks, mode)
         return count <= mode, sign * end
 
-    if hint is not None:
-        lo = max(0.0, hint[0])
-        hi = max(lo, hint[1])
-        step = max(hi - lo, tol_sigma)
-        passes, f_lo = shoot(lo)
-        if passes:
-            passes, f_hi = shoot(hi)
-            while passes:  # the hint lies below the eigenvalue: step up
-                if hi >= _SIGMA_CAP:
-                    raise NonConvergenceError(
-                        "phi' kept at most %d sign changes up to sigma = %g; input is ill-posed"
-                        % (mode, _SIGMA_CAP)
-                    )
-                lo, f_lo = hi, f_hi
-                step *= 4.0
-                hi = min(lo + step, _SIGMA_CAP)
-                passes, f_hi = shoot(hi)
-        else:  # the hint lies above the eigenvalue: step down
-            while not passes:
-                hi, f_hi = lo, f_lo
-                step *= 4.0
-                lo = hi - step
-                if lo <= 0.0:
-                    lo, f_lo = 0.0, math.nan  # sigma = 0 passes (see below)
-                    break
-                passes, f_lo = shoot(lo)
-    else:
-        # sigma = 0 always satisfies the predicate: phi' solves a first-order
-        # linear equation with positive initial data, so it never changes sign.
-        lo, f_lo = 0.0, math.nan
-        hi = max(1.0, params.n * max(params.kappa, 0.0) + 4.0 * (math.pi / params.diameter) ** 2)
-        while True:
-            passes, f_hi = shoot(hi)
-            if not passes:
-                break
-            lo, f_lo = hi, f_hi
-            hi *= 2.0
-            if hi > _SIGMA_CAP:
+    if hint is None:
+        guess = params.n * max(params.kappa, 0.0) + 4.0 * (math.pi / params.diameter) ** 2
+        hint = (0.0, max(1.0, guess))
+    lo = max(0.0, hint[0])
+    hi = max(lo, hint[1])
+    step = max(hi - lo, tol_sigma)
+    passes, f_lo = shoot(lo)
+    if passes:
+        passes, f_hi = shoot(hi)
+        while passes:  # the hint lies below the eigenvalue: step up
+            if hi >= _SIGMA_CAP:
                 raise NonConvergenceError(
                     "phi' kept at most %d sign changes up to sigma = %g; input is ill-posed"
                     % (mode, _SIGMA_CAP)
                 )
+            lo, f_lo = hi, f_hi
+            hi = min(lo + step, _SIGMA_CAP)
+            step *= 2.0
+            passes, f_hi = shoot(hi)
+    else:  # the hint lies above the eigenvalue: step down
+        while not passes:
+            hi, f_hi = lo, f_lo
+            lo = max(hi - step, 0.0)
+            step *= 2.0
+            passes, f_lo = shoot(lo)
     last = None  # the previous trial's predicate value
     slow = 0  # trials in a row that failed to halve the bracket
     while hi - lo > tol_sigma:
@@ -284,13 +276,14 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
     on phi'(D/2), each decided by the predicate) on successively doubled
     integration grids until two successive refinements move the eigenvalue by
     less than tol/4, so the reported value carries both a tight bracket and a
-    grid-convergence check.  The second level starts from the first bracket
-    widened by a margin.  Later levels start from a bracket just under tol/8
-    wide centred on mu_k + (mu_k - mu_(k-1))/16, the next value that RK4's h^4
-    error law predicts; ``_bisect_level`` steps outward from a hint that
-    misses, and the predicate alone decides every trial.  A zero of phi' at
-    the endpoint counts as predicate failure (the Neumann condition holds
-    exactly at the eigenvalue).
+    grid-convergence check.  The first level starts from the hint (0, a
+    curvature-scaled guess), the second from the first bracket widened by a
+    margin.  Later levels start from a bracket just under tol/8 wide centred
+    on mu_k + (mu_k - mu_(k-1))/16, the next value that RK4's h^4 error law
+    predicts.  ``_bisect_level`` steps outward from a hint that misses, by
+    doubling widths, without shooting sigma <= 0, and the predicate alone
+    decides every trial.  A zero of phi' at the endpoint counts as predicate
+    failure (the Neumann condition holds exactly at the eigenvalue).
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidParamsError(f"tol must be positive, got {tol}")
@@ -310,7 +303,6 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
                 bracket_lo=lo,
                 bracket_hi=hi,
                 iterations=evals,
-                tol=hi - lo,
                 steps=steps,
                 evaluations=total,
             )

@@ -11,7 +11,6 @@ first nonzero Neumann eigenvalue.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,8 +21,6 @@ from .model import InvalidParamsError, ModelParams
 from .moc_pde import Flux, Profile, StepControls, _march
 from .specialfn import ck, tk_array
 from .sturm import _bisect_level, first_eigenvalue, integrate_phi
-
-logger = logging.getLogger(__name__)
 
 # Admissibility slack on the Ricci comparison (absolute, curvature units).
 _RICCI_SLACK = 1e-12
@@ -231,10 +228,6 @@ def verify_moc(
             pairs += len(margins)
         ant = np.abs((u[center + 1 :] - u[center - 1 :: -1]) - 2.0 * phi[2 : m_u + 1 : 2])
         defect = max(defect, float(np.max(ant)))
-        curv = np.diff(phi, 2)
-        logger.debug(
-            "modulus profile at t=%g concave: %s", prof.t, bool(np.all(curv <= 1e-12))
-        )
     return ViolationReport(
         violations=violations,
         worst_margin=worst,

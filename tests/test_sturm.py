@@ -138,7 +138,6 @@ class TestFirstEigenvalue:
         res = first_eigenvalue(ModelParams(4, -0.7, 2.5), 1e-9)
         assert res.mu > 0
         assert res.bracket_hi - res.bracket_lo <= 1e-9
-        assert res.tol == res.bracket_hi - res.bracket_lo
         assert res.bracket_lo <= res.mu <= res.bracket_hi
         # predicate holds at bracket_lo: the final-grid trajectory has positive phi'
         traj_lo = integrate_phi(ModelParams(4, -0.7, 2.5), res.bracket_lo, res.steps)
@@ -537,6 +536,37 @@ class TestIllinoisLevel:
                 assert reference_count(params, hi, steps, mode) > mode
                 assert 0.0 < hi - lo <= tol_sigma
                 assert evals < 64
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_sigma_at_or_below_zero_is_never_shot(self, monkeypatch, mode):
+        steps, tol_sigma = 256, 1e-9 / 8
+        shoot = specgap.sturm._shoot
+        sigmas = []
+
+        def spy(*args):
+            sigmas.append(args[1])
+            return shoot(*args)
+
+        monkeypatch.setattr(specgap.sturm, "_shoot", spy)
+        for params in self.NAMED:
+            mu = _bisect_level(params, 1e-6, steps, None, mode)[0]
+            # hints whose lower end clamps to sigma = 0, and no hint
+            for hint in [(-1.0, 0.5 * mu), (0.0, 2.0 * mu), None]:
+                sigmas.clear()
+                _, lo, hi, evals = _bisect_level(params, tol_sigma, steps, hint, mode)
+                assert min(sigmas) > 0.0
+                assert evals == len(sigmas)
+                assert reference_count(params, lo, steps, mode) <= mode
+                assert reference_count(params, hi, steps, mode) > mode
+                assert 0.0 < hi - lo <= tol_sigma
+
+    def test_sigma_cap_raises_ill_posed(self, monkeypatch):
+        # the mode-2 eigenvalue here is about 61, above the lowered cap
+        monkeypatch.setattr(specgap.sturm, "_SIGMA_CAP", 30.0)
+        params = ModelParams(3, -1.0, 2.0)
+        for hint in [None, (10.0, 11.0)]:
+            with pytest.raises(NonConvergenceError, match="ill-posed"):
+                _bisect_level(params, 1e-9 / 8, 256, hint, 2)
 
     def test_unhinted_level_needs_a_third_of_the_bisection_trials(self):
         # plain bisection spends 36-53 trials here; Illinois halving is worth
