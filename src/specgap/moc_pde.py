@@ -169,7 +169,9 @@ class StepControls:
     ``right_flux``/``left_flux`` prescribe time-dependent Neumann data at the
     interval ends (zero when omitted); the left value is only consulted for
     full-interval evolutions, which have no pivot at s = 0.  A flux coefficient
-    alpha above 1e8 raises :class:`CFLViolationError` whatever the controls.
+    alpha above 1e8 raises :class:`CFLViolationError` whatever the controls,
+    as does, before the first step, a grid whose cell Peclet number
+    h*max|(n-1)*tk|/(2*(p-1)) exceeds 1 (p - 1 = 1 on the heat flux).
     Output times snap to the nearest step.  An evolution whose state at an
     output is not finite raises :class:`NonConvergenceError`, as does one
     needing more than 2^26 steps: a run with a known dt (heat, or
@@ -288,6 +290,17 @@ def _march(
     is always genuine scheme output; a recorded state that is not finite
     raises :class:`NonConvergenceError`.
 
+    A step allocates nothing.  The state alternates between two
+    ghost-extended buffers: a step reads the current one and writes into the
+    other, and its stencil rows (q, lap), coefficient rows (beta, alpha) and
+    update are written into arrays made before the first step.  Every output
+    is a copy, so no two outputs share memory with each other or with u0.
+
+    Before the first step, a grid whose cell Peclet number
+    h*max|nm1_tk|/(2*(p-1)) (p - 1 = 1 on the heat flux, since
+    beta/alpha = 1/(p-1)) exceeds 1 raises :class:`CFLViolationError`: the
+    centered drift would make the step non-monotone there.
+
     Step budget: when dt is known before the first step (the heat flux, or
     ``fixed_dt`` set), a run whose step count ceil(t_last/dt) exceeds
     _MAX_STEPS raises :class:`NonConvergenceError` before stepping.  An
@@ -299,8 +312,8 @@ def _march(
 
     On the heat flux alpha = beta = 1, so dt and the step matrix M are fixed:
     while the next output lies beyond the next _BLOCK steps those steps are
-    one banded product.  It adds (M^_BLOCK - I)(u - u[0]) to u, which is
-    exact on constant data, plus the forcing responses times
+    one banded product.  It adds (M^_BLOCK - I)(u - u[0]) to u in place,
+    which is exact on constant data, plus the forcing responses times
     g(t_k .. t_(k+_BLOCK-1)).  Block times accumulate exactly as single steps
     accumulate them, so every time stamp equals that of the per-step loop and
     the values agree with it to roundoff.
@@ -317,7 +330,11 @@ def _march(
 
     pending = deque(targets)
     outputs: list[tuple[float, np.ndarray]] = []
-    u = u0.astype(float, copy=True)
+    # (buffer, interior, right, left) views of the two state buffers
+    buffers = np.empty((2, len(u0) + 2))
+    cur, nxt = [(b, b[1:-1], b[2:], b[:-2]) for b in buffers]
+    u = cur[1]
+    u[:] = u0
     while pending and pending[0] <= 0.0:
         pending.popleft()
         outputs.append((0.0, u.copy()))
@@ -325,6 +342,12 @@ def _march(
         return outputs
 
     heat = flux.is_heat
+    peclet = h * float(np.max(np.abs(nm1_tk))) / (2.0 * (1.0 if heat else flux.p - 1.0))
+    if not peclet <= 1.0:
+        raise CFLViolationError(
+            "the cell Peclet number is %g, above 1: the drift (n-1)*tk outruns the "
+            "diffusion on this grid (refine the grid)" % peclet
+        )
     fixed = controls.fixed_dt is not None
     cfl_h2 = controls.cfl * h * h
     gl = controls.left_flux or (lambda _t: 0.0)
@@ -338,6 +361,11 @@ def _march(
                 "t_end = %g at dt = %g needs %d explicit steps, over the budget of %d"
                 % (t_end, dt, steps_needed, _MAX_STEPS)
             )
+    # the stencil rows (q, lap) = (u', u''), and on the p-Laplacian flux the
+    # coefficient rows (mp, alpha) = (beta, alpha) that multiply them
+    ql = np.empty((2, len(u0)))
+    q, lap = ql
+    scale = np.array([[1.0 / (2.0 * h)], [1.0 / (h * h)]])
     if heat:
         band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
         increment = _block_increment(band, _BLOCK)
@@ -348,7 +376,7 @@ def _march(
         if controls.left_flux is not None and not odd_pivot:
             w = -dt * (2.0 / h + nm1_tk[0])
             ends.append((gl, False, _forcing_responses(band, w, False, _BLOCK)))
-        padded = np.zeros(len(u) + 2 * _BLOCK)
+        padded = np.zeros(len(u0) + 2 * _BLOCK)
         windows = sliding_window_view(padded, 2 * _BLOCK + 1)
         increments = np.full(_BLOCK + 1, dt)
     else:
@@ -358,10 +386,10 @@ def _march(
         eps2 = eps * eps
         exponent = 0.5 * (flux.p - 2.0)
         pm1 = flux.p - 1.0
+        coefficients = np.empty((2, len(u0)))
+        mp, alpha = coefficients
 
-    inv2h = 1.0 / (2.0 * h)
-    invh2 = 1.0 / (h * h)
-    ue = np.empty(len(u) + 2)
+    two_h = 2.0 * h
     t = 0.0
     k = 0
     # an adaptive run records its dt after the first step, then projects its
@@ -374,6 +402,7 @@ def _march(
     # (alpha = inf, refused below)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while pending:
+            ue, u, right, left = cur
             if heat and not stepping:
                 if fixed:
                     times = ((k + np.arange(_BLOCK + 1)) * dt).tolist()
@@ -383,24 +412,28 @@ def _march(
                 stepping = pending[0] <= times[-1]
                 if not stepping:
                     np.subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
-                    u = u + np.einsum("ij,ij->i", increment, windows)
-                    for g, right, responses in ends:
+                    u += np.einsum("ij,ij->i", increment, windows, out=q)
+                    for g, right_end, responses in ends:
                         forced = responses @ np.array([g(s) for s in times[:-1]])
-                        if right:
+                        if right_end:
                             u[-len(forced) :] += forced
                         else:
                             u[: len(forced)] += forced
                     t = times[-1]
                     k += _BLOCK
                     continue
-            ue[1:-1] = u
-            ue[0] = -u[1] if odd_pivot else u[1] - 2.0 * h * gl(t)
-            ue[-1] = u[-2] + 2.0 * h * gr(t)
-            q = (ue[2:] - ue[:-2]) * inv2h
-            lap = (ue[2:] - 2.0 * u + ue[:-2]) * invh2
+            ue[0] = -u[1] if odd_pivot else u[1] - two_h * gl(t)
+            ue[-1] = u[-2] + two_h * gr(t)
+            np.subtract(right, left, q)
+            np.multiply(u, 2.0, lap)
+            np.subtract(right, lap, lap)
+            lap += left
+            ql *= scale
             if not heat:
-                mp = (q * q + eps2) ** exponent
-                alpha = pm1 * mp
+                np.multiply(q, q, mp)
+                mp += eps2
+                mp **= exponent
+                np.multiply(mp, pm1, alpha)
                 max_alpha = float(alpha.max())
                 if not max_alpha <= _MAX_ALPHA:
                     raise CFLViolationError(
@@ -412,10 +445,14 @@ def _march(
                     outputs.extend((target, u.copy()) for target in pending)
                     break
                 dt = _step_size(controls, cfl_h2 / max_alpha, t)
-                lap *= alpha
-                q *= mp
+                ql *= coefficients
             t_new = (k + 1) * dt if fixed else t + dt
-            u_new = u + dt * (lap - nm1_tk * q)
+            # u_new = u + dt*(lap - nm1_tk*q), written over q
+            np.multiply(nm1_tk, q, q)
+            np.subtract(lap, q, q)
+            q *= dt
+            u_new = nxt[1]
+            np.add(u, q, u_new)
             if odd_pivot:
                 u_new[0] = 0.0
             stepping = pending[0] > t_new
@@ -428,7 +465,7 @@ def _march(
                         "(refine the grid or lower cfl)" % stamp
                     )
                 outputs.append((stamp, values.copy()))
-            u = u_new
+            cur, nxt = nxt, cur
             t = t_new
             k += 1
             if k >= check_at and pending:

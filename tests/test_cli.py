@@ -131,11 +131,14 @@ class TestEvolveCommand:
         assert "t_end = 100000" in proc.stderr and "67108864" in proc.stderr
 
     def test_blown_up_march_exits_3(self, capsys, recwarn):
+        # the explicit heat scheme would blow up at this drift: the cell Peclet
+        # number is 3.95, so the grid is refused before the first step
         code, out, err = run_cli(capsys, "evolve", "--kappa", "-4000", "--grid", "16",
                                  "--t-end", "100")
         assert code == 3
         assert out == ""
-        assert err.startswith("error: solver did not converge:") and "not finite" in err
+        assert err.startswith("error: solver did not converge:")
+        assert "Peclet number is 3.95285" in err and "refine the grid" in err
         assert err.count("\n") == 1
         assert not recwarn.list
 
@@ -188,13 +191,15 @@ class TestDecayCommand:
         assert "--t-end" in err and "0.000390625" in err
 
     def test_blown_up_march_exits_3(self, capsys, recwarn):
-        # the explicit heat scheme is unstable at this drift; its NaN state is
-        # refused, with one error line, instead of reaching the fit and the report
+        # the explicit heat scheme would blow up at this drift (cell Peclet
+        # number 1.98): the grid is refused before the first step, with one
+        # error line, instead of reaching the fit and the report
         code, out, err = run_cli(capsys, "decay", "--kappa", "-4000", "--grid", "64",
                                  "--t-end", "3")
         assert code == 3
         assert out == ""
-        assert err.startswith("error: solver did not converge:") and "not finite" in err
+        assert err.startswith("error: solver did not converge:")
+        assert "Peclet number is 1.97642" in err and "refine the grid" in err
         assert err.count("\n") == 1
         assert not recwarn.list
 

@@ -328,22 +328,171 @@ class TestPLaplacianMarch:
                               controls, False)
         self.assert_bitwise(sol.times, sol.profiles, ref)
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
+    def test_128_cells_match_per_step_loop(self, fixed, route):
+        # the cell count of the refined benchmark case; about 2000 steps at
+        # the fixed dt and 1000 adaptive ones
+        flux = Flux.plaplacian(3.0)
+        cells = 128
+        if route == "evolve":
+            t_end = 0.0125
+            traj = integrate_phi(self.PARAMS, self.SIGMA, cells)
+            u0, slope = traj.phi, traj.dphi[-1]
+            grid = Grid1D(self.PARAMS.half_diameter, cells)
+            h, nodes = grid.h, grid.nodes
+        else:
+            t_end = 0.05
+            half = integrate_phi(self.PARAMS, self.SIGMA, cells // 2)
+            u0, slope = np.concatenate([-half.phi[:0:-1], half.phi]), half.dphi[-1]
+            h = self.PARAMS.diameter / cells
+            nodes = -self.PARAMS.half_diameter + np.arange(cells + 1) * h
+        dt = self.controls(flux, u0, h, slope, fixed, "none").fixed_dt
+        controls = StepControls(output_times=[0.0, 0.2 * t_end, 0.2 * t_end, 0.6 * t_end, t_end],
+                                fixed_dt=dt)
+        if route == "evolve":
+            phi0 = Profile(grid=grid, t=0.0, values=u0)
+            out = evolve(flux, self.PARAMS, phi0, t_end, controls)
+            got_times, got_values = [p.t for p in out], [p.values for p in out]
+        else:
+            sol = radial_flow(WarpedMetric(self.PARAMS, 1.0), flux, u0, t_end, controls)
+            got_times, got_values = sol.times, sol.profiles
+        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, nodes)
+        ref = reference_march(flux, self.PARAMS.diameter, u0, h, nm1_tk, t_end, controls,
+                              route == "evolve")
+        self.assert_bitwise(got_times, got_values, ref)
+
+
+class TestOutputsAreCopies:
+    """The state alternates between two buffers; every output is its own array."""
+
+    PARAMS = ModelParams(3, -1.0, 2.0)
+    FLUXES = [Flux.heat(), Flux.plaplacian(3.0)]
+
+    @staticmethod
+    def check_independent(u0, before, outputs):
+        assert np.array_equal(u0, before)
+        for i, a in enumerate(outputs):
+            assert not np.shares_memory(a, u0)
+            assert all(not np.shares_memory(a, b) for b in outputs[i + 1 :])
+        saved = [a.copy() for a in outputs]
+        for i, a in enumerate(outputs):
+            a.fill(np.nan)
+            assert all(np.array_equal(b, c) for j, (b, c) in enumerate(zip(outputs, saved))
+                       if j != i)
+            a[...] = saved[i]
+
+    @staticmethod
+    def output_times(dt):
+        # t = 0 twice, a duplicate, outputs on consecutive steps, and a gap
+        # of several heat blocks
+        return [0.0, 0.0, 5 * dt, 5 * dt, 6 * dt, 7 * dt, 300 * dt]
+
+    def run(self, route, flux, u0, controls, t_end):
+        if route == "evolve":
+            grid = Grid1D(self.PARAMS.half_diameter, len(u0) - 1)
+            phi0 = Profile(grid=grid, t=0.0, values=u0)
+            return [p.values for p in evolve(flux, self.PARAMS, phi0, t_end, controls)]
+        sol = radial_flow(WarpedMetric(self.PARAMS, 1.0), flux, u0, t_end, controls)
+        return sol.profiles
+
+    @pytest.mark.parametrize("flux", FLUXES, ids=["heat", "plap:3"])
+    @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
+    def test_outputs_own_their_memory(self, flux, route):
+        s = np.linspace(0.0 if route == "evolve" else -1.0, 1.0, 33)
+        u0 = np.sin(0.5 * math.pi * s)
+        before = u0.copy()
+        h = s[1] - s[0]
+        alpha0 = max(flux_eval(flux, float(q))[0] for q in np.gradient(u0, h))
+        dt = 0.2 * h * h / max(1.0, alpha0)
+        times = self.output_times(dt)
+        controls = StepControls(output_times=times, fixed_dt=dt)
+        outputs = self.run(route, flux, u0, controls, times[-1])
+        assert len(outputs) == len(times)
+        self.check_independent(u0, before, outputs)
+
+    @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
+    def test_stationary_outputs_own_their_memory(self, route):
+        # p > 2 on zero data: alpha vanishes, and every pending output is the
+        # initial state
+        u0 = np.zeros(33)
+        controls = StepControls(output_times=[0.0, 0.1, 0.1, 0.2])
+        outputs = self.run(route, Flux.plaplacian(3.0, 0.0), u0, controls, 0.2)
+        assert len(outputs) == 4
+        self.check_independent(u0, np.zeros(33), outputs)
+
 
 class TestBlowUp:
     """A march whose state stops being finite raises instead of returning it."""
 
-    PARAMS = ModelParams(3, -4000.0, 2.0)
+    # the drift is far inside the Peclet bound; data near the largest double
+    # overflows in the step's arithmetic (2*u, or u - u[0] on the full interval)
+    PARAMS = ModelParams(3, -1.0, 2.0)
+    SCALE = 1e308
 
     def test_evolve_raises(self):
         grid = Grid1D(self.PARAMS.half_diameter, 16)
-        phi0 = Profile(grid=grid, t=0.0, values=np.sin(grid.nodes))
+        phi0 = Profile(grid=grid, t=0.0, values=self.SCALE * np.sin(0.5 * math.pi * grid.nodes))
         with pytest.raises(NonConvergenceError, match="not finite"):
-            evolve(Flux.heat(), self.PARAMS, phi0, 100.0)
+            evolve(Flux.heat(), self.PARAMS, phi0, 0.01)
 
     def test_radial_flow_raises(self):
-        u0 = np.sin(np.linspace(-1.0, 1.0, 33))
+        u0 = self.SCALE * np.sin(0.5 * math.pi * np.linspace(-1.0, 1.0, 33))
         with pytest.raises(NonConvergenceError, match="t = 3 is not finite"):
             radial_flow(WarpedMetric(self.PARAMS, 1.0), Flux.heat(), u0, 3.0)
+
+
+class TestPecletRefusal:
+    """A grid on which the drift outruns the diffusion is refused up front."""
+
+    PARAMS = ModelParams(3, -4000.0, 2.0)
+
+    def radial_data(self, cells):
+        s = np.linspace(-self.PARAMS.half_diameter, self.PARAMS.half_diameter, cells + 1)
+        return s, np.sin(0.5 * math.pi * s)
+
+    @pytest.mark.parametrize("flux", [Flux.heat(), Flux.plaplacian(3.0)], ids=["heat", "plap:3"])
+    def test_refused_before_any_step(self, flux, monkeypatch):
+        calls = []
+        step_size = specgap.moc_pde._step_size
+
+        def spy(*args):
+            calls.append(args[2])
+            return step_size(*args)
+
+        monkeypatch.setattr(specgap.moc_pde, "_step_size", spy)
+        g = lambda t: calls.append(t) or 0.0  # called on every step
+        controls = StepControls(output_times=[0.0, 0.5], left_flux=g, right_flux=g)
+        grid = Grid1D(self.PARAMS.half_diameter, 16)
+        phi0 = Profile(grid=grid, t=0.0, values=np.sin(0.5 * math.pi * grid.nodes))
+        # h = 1/16 and max|(n-1)*tk| = 126.5, over 2*(p-1)
+        peclet = "3.95" if flux.is_heat else "1.97"
+        with pytest.raises(CFLViolationError, match=f"Peclet number is {peclet}.*refine the grid"):
+            evolve(flux, self.PARAMS, phi0, 0.5, controls)
+        with pytest.raises(CFLViolationError, match="Peclet"):
+            radial_flow(WarpedMetric(self.PARAMS, 1.0), flux, self.radial_data(32)[1], 0.5,
+                        controls)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "flux, c, refused, accepted",
+        [(Flux.heat(), 1.0, 64, 128), (Flux.plaplacian(3.0), 2.0, 32, 64),
+         (Flux.plaplacian(1.5, 0.1), 0.5, 128, 256)],
+        ids=["heat", "plap:3", "plap:1.5:0.1"],
+    )
+    def test_bound_scales_with_p_minus_1(self, flux, c, refused, accepted):
+        # beta/alpha = 1/(p-1): the p-Laplacian drift counts 1/(p-1) times
+        metric = WarpedMetric(self.PARAMS, 1.0)
+        pe = []
+        for cells in (refused, accepted):
+            s, _ = self.radial_data(cells)
+            nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, s)
+            pe.append((s[1] - s[0]) * np.max(np.abs(nm1_tk)) / (2.0 * c))
+        assert pe[0] > 1.0 >= pe[1]
+        with pytest.raises(CFLViolationError, match="Peclet"):
+            radial_flow(metric, flux, self.radial_data(refused)[1], 1e-3)
+        sol = radial_flow(metric, flux, self.radial_data(accepted)[1], 1e-3)
+        assert np.all(np.isfinite(sol.profiles[-1])) and sol.times[-1] > 0.0
 
 
 class TestEvolvePLaplacian:
