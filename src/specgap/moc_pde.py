@@ -165,7 +165,8 @@ class StepControls:
 
     ``output_times`` defaults to the single final time.  ``fixed_dt`` forces a
     constant step (validated against the stability bound every step), which
-    lets two evolutions on different grids share identical time stamps.
+    lets two evolutions on different grids share identical time stamps; it is
+    stored as a Python float.
     ``right_flux``/``left_flux`` prescribe time-dependent Neumann data at the
     interval ends (zero when omitted); the left value is only consulted for
     full-interval evolutions, which have no pivot at s = 0.  A flux coefficient
@@ -192,6 +193,8 @@ class StepControls:
             raise InvalidParamsError(f"cfl must lie in (0, 0.5], got {self.cfl}")
         if self.fixed_dt is not None and not (self.fixed_dt > 0):
             raise InvalidParamsError(f"fixed_dt must be positive, got {self.fixed_dt}")
+        if self.fixed_dt is not None:
+            object.__setattr__(self, "fixed_dt", float(self.fixed_dt))
 
 
 def _step_size(controls: StepControls, stable_dt: float, t: float) -> float:
@@ -287,14 +290,18 @@ def _march(
     that bound.  A p-Laplacian flux with epsilon = None is regularized by
     _AUTO_EPS_SCALE * osc(u0) / diameter.  Requested output times are snapped
     to the nearest completed step rather than interpolated, so recorded state
-    is always genuine scheme output; a recorded state that is not finite
-    raises :class:`NonConvergenceError`.
+    is always genuine scheme output, and every stamp is a Python float; a
+    recorded state that is not finite raises :class:`NonConvergenceError`.
 
     A step allocates nothing.  The state alternates between two
     ghost-extended buffers: a step reads the current one and writes into the
     other, and its stencil rows (q, lap), coefficient rows (beta, alpha) and
     update are written into arrays made before the first step.  Every output
     is a copy, so no two outputs share memory with each other or with u0.
+    The step's constants (2, eps^2, p - 1 and dt) enter it as 0-d float64
+    arrays and its stencil scales as full rows, which spares numpy a Python
+    scalar's dtype resolution and a broadcast on every call; the power keeps
+    a Python float exponent, numpy's scalar-power path (0.5 is a square root).
 
     Before the first step, a grid whose cell Peclet number
     h*max|nm1_tk|/(2*(p-1)) (p - 1 = 1 on the heat flux, since
@@ -349,7 +356,7 @@ def _march(
             "diffusion on this grid (refine the grid)" % peclet
         )
     fixed = controls.fixed_dt is not None
-    cfl_h2 = controls.cfl * h * h
+    cfl_h2 = float(controls.cfl * h * h)  # so every dt and stamp is a Python float
     gl = controls.left_flux or (lambda _t: 0.0)
     gr = controls.right_flux or (lambda _t: 0.0)
     # dt is known up front on the heat flux and whenever it is fixed
@@ -365,7 +372,10 @@ def _march(
     # coefficient rows (mp, alpha) = (beta, alpha) that multiply them
     ql = np.empty((2, len(u0)))
     q, lap = ql
-    scale = np.array([[1.0 / (2.0 * h)], [1.0 / (h * h)]])
+    scale = np.empty_like(ql)
+    scale[0], scale[1] = 1.0 / (2.0 * h), 1.0 / (h * h)
+    two = np.array(2.0)
+    step = np.array(0.0 if dt is None else dt)  # dt, rewritten by adaptive steps
     if heat:
         band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
         increment = _block_increment(band, _BLOCK)
@@ -383,9 +393,9 @@ def _march(
         eps = flux.epsilon
         if eps is None:
             eps = _AUTO_EPS_SCALE * float(np.max(u0) - np.min(u0)) / diameter
-        eps2 = eps * eps
+        eps2 = np.array(eps * eps)
         exponent = 0.5 * (flux.p - 2.0)
-        pm1 = flux.p - 1.0
+        pm1 = np.array(flux.p - 1.0)
         coefficients = np.empty((2, len(u0)))
         mp, alpha = coefficients
 
@@ -425,7 +435,7 @@ def _march(
             ue[0] = -u[1] if odd_pivot else u[1] - two_h * gl(t)
             ue[-1] = u[-2] + two_h * gr(t)
             np.subtract(right, left, q)
-            np.multiply(u, 2.0, lap)
+            np.multiply(u, two, lap)
             np.subtract(right, lap, lap)
             lap += left
             ql *= scale
@@ -434,7 +444,7 @@ def _march(
                 mp += eps2
                 mp **= exponent
                 np.multiply(mp, pm1, alpha)
-                max_alpha = float(alpha.max())
+                max_alpha = float(np.maximum.reduce(alpha))  # alpha.max() without its wrapper
                 if not max_alpha <= _MAX_ALPHA:
                     raise CFLViolationError(
                         "max flux coefficient %g exceeds the stability bound %g at t = %g"
@@ -442,15 +452,19 @@ def _march(
                     )
                 if max_alpha == 0.0:
                     # fully degenerate flux: the data is stationary
-                    outputs.extend((target, u.copy()) for target in pending)
+                    outputs.extend((float(target), u.copy()) for target in pending)
                     break
-                dt = _step_size(controls, cfl_h2 / max_alpha, t)
+                if not fixed:
+                    dt = _step_size(controls, cfl_h2 / max_alpha, t)
+                    step[()] = dt
+                elif dt > cfl_h2 / max_alpha * (1.0 + 1e-9):
+                    _step_size(controls, cfl_h2 / max_alpha, t)  # raises
                 ql *= coefficients
             t_new = (k + 1) * dt if fixed else t + dt
             # u_new = u + dt*(lap - nm1_tk*q), written over q
             np.multiply(nm1_tk, q, q)
             np.subtract(lap, q, q)
-            q *= dt
+            q *= step
             u_new = nxt[1]
             np.add(u, q, u_new)
             if odd_pivot:

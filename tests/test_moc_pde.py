@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -24,8 +25,10 @@ from specgap import (
 from specgap.specialfn import tk_array
 
 MU_3_M1_2 = 1.682043320038555  # independent closed-form value, see test_sturm
-FLUXES = [Flux.plaplacian(3.0), Flux.plaplacian(3.0, 1e-3), Flux.plaplacian(1.5, 0.1)]
-FLUX_IDS = ["plap:3", "plap:3:1e-3", "plap:1.5:0.1"]
+# the power's exponent (p-2)/2 is 0.5 (a square root), -0.25 and 1.0
+FLUXES = [Flux.plaplacian(3.0), Flux.plaplacian(3.0, 1e-3), Flux.plaplacian(1.5, 0.1),
+          Flux.plaplacian(4.0, 1e-3)]
+FLUX_IDS = ["plap:3", "plap:3:1e-3", "plap:1.5:0.1", "plap:4:1e-3"]
 
 
 def reference_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot):
@@ -361,6 +364,75 @@ class TestPLaplacianMarch:
         ref = reference_march(flux, self.PARAMS.diameter, u0, h, nm1_tk, t_end, controls,
                               route == "evolve")
         self.assert_bitwise(got_times, got_values, ref)
+
+
+class TestFixedDtRefusedMidRun:
+    """A fixed dt that the growing flux outruns after t = 0 is refused at that step."""
+
+    # linear data with the Neumann slope g rising from 1: the end gradient is
+    # g(t), so max alpha = 2*g(t) grows past its t = 0 value from the second step
+    PARAMS = ModelParams(3, 0.0, 2.0)
+    FLUX = Flux.plaplacian(3.0)
+    REFUSAL = "fixed_dt 0.000195313 exceeds the stability bound 0.000194932 at t = 0.000195313"
+
+    @staticmethod
+    def g(t):
+        return 1.0 + 10.0 * t
+
+    def test_evolve(self):
+        grid = Grid1D(self.PARAMS.half_diameter, 32)
+        phi0 = Profile(grid=grid, t=0.0, values=grid.nodes)
+        dt = 0.4 * grid.h**2 / 2.0  # the bound at t = 0, where max alpha = 2
+        (first,) = evolve(self.FLUX, self.PARAMS, phi0, dt,
+                          StepControls(fixed_dt=dt, right_flux=self.g))
+        assert first.t == dt
+        with pytest.raises(CFLViolationError, match=re.escape(self.REFUSAL)):
+            evolve(self.FLUX, self.PARAMS, phi0, 0.01, StepControls(fixed_dt=dt, right_flux=self.g))
+
+    def test_radial_flow(self):
+        s = np.linspace(-self.PARAMS.half_diameter, self.PARAMS.half_diameter, 65)
+        dt = 0.4 * (s[1] - s[0]) ** 2 / 2.0
+        metric = WarpedMetric(self.PARAMS, 1.0)
+        controls = StepControls(fixed_dt=dt, left_flux=self.g, right_flux=self.g)
+        assert radial_flow(metric, self.FLUX, s, dt, controls).times == [dt]
+        with pytest.raises(CFLViolationError, match=re.escape(self.REFUSAL)):
+            radial_flow(metric, self.FLUX, s, 0.01, controls)
+
+
+class TestStampsAreFloats:
+    """Every time stamp is a Python float, whatever numeric types the inputs carry."""
+
+    PARAMS = ModelParams(3, -1.0, np.float64(2.0))  # so h is a numpy float too
+
+    def stamps(self, route, flux, u0, controls, t_end):
+        if route == "evolve":
+            grid = Grid1D(self.PARAMS.half_diameter, len(u0) - 1)
+            phi0 = Profile(grid=grid, t=0.0, values=u0)
+            return [p.t for p in evolve(flux, self.PARAMS, phi0, t_end, controls)]
+        return radial_flow(WarpedMetric(self.PARAMS, 1.0), flux, u0, t_end, controls).times
+
+    @pytest.mark.parametrize("flux", [Flux.heat(), Flux.plaplacian(3.0)], ids=["heat", "plap:3"])
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
+    def test_stepped_outputs(self, flux, fixed, route):
+        s = np.linspace(0.0 if route == "evolve" else -1.0, 1.0, 65)
+        h = s[1] - s[0]
+        dt = 0.1 * h * h
+        # t = 0, outputs on single steps and, on the heat flux, after blocks
+        times = [0, np.float64(5 * dt), 6 * dt, 400 * dt]
+        controls = StepControls(cfl=np.float64(0.4), output_times=times,
+                                fixed_dt=np.float64(dt) if fixed else None)
+        stamps = self.stamps(route, flux, np.sin(0.5 * math.pi * s), controls, times[-1])
+        assert len(stamps) == 4 and stamps[-1] > 0.0
+        assert all(type(t) is float for t in stamps)
+
+    @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
+    def test_stationary_exit(self, route):
+        # p > 2 on zero data: the pending targets are recorded as they are
+        controls = StepControls(output_times=[0, np.float64(0.5), 1])
+        stamps = self.stamps(route, Flux.plaplacian(3.0, 0.0), np.zeros(33), controls, 1)
+        assert stamps == [0.0, 0.5, 1.0]
+        assert all(type(t) is float for t in stamps)
 
 
 class TestOutputsAreCopies:
