@@ -24,6 +24,7 @@ from .sturm import (
     PhiTrajectory,
     first_eigenvalue,
     integrate_phi,
+    seeded_odd_initial_data,
     sl_fd_oracle,
     sl_fd_oracle_extrapolated,
     sphere_limit_eigenvalue,
@@ -37,7 +38,6 @@ from .warped import (
     fit_decay,
     radial_flow,
     ricci_bounds,
-    seeded_odd_initial_data,
     verify_moc,
 )
 

@@ -21,14 +21,13 @@ import numpy as np
 from .bounds import classical_bounds
 from .model import InvalidParamsError, ModelParams, NonConvergenceError, PoleError
 from .moc_pde import Flux, Grid1D, Profile, StepControls, evolve, flux_eval
-from .sturm import first_eigenvalue
+from .sturm import first_eigenvalue, seeded_odd_initial_data
 from .warped import (
     WarpedMetric,
     default_warp_amplitude,
     fit_decay,
     radial_flow,
     ricci_bounds,
-    seeded_odd_initial_data,
     verify_moc,
 )
 
@@ -52,7 +51,7 @@ def parse_flux(spec: str) -> Flux:
         except ValueError as exc:
             raise InvalidParamsError(f"malformed flux spec {spec!r}") from exc
         return Flux.plaplacian(p, eps)
-    raise InvalidParamsError(f"unknown flux kind {parts[0]!r} (expected heat or plap:P[:EPS])")
+    raise InvalidParamsError(f"unknown flux {parts[0]!r} (expected heat or plap:P[:EPS])")
 
 
 def _fmt(x) -> str:
@@ -322,9 +321,9 @@ def cmd_ricci(args):
     return report, _scalar_table(report)
 
 
-def _parse_list(text: str, kind, name: str) -> list:
+def _parse_list(text: str, convert, name: str) -> list:
     try:
-        return [kind(part) for part in str(text).split(",") if part != ""]
+        return [convert(part) for part in str(text).split(",") if part != ""]
     except ValueError as exc:
         raise InvalidParamsError(f"malformed {name} list {text!r}") from exc
 

@@ -1,9 +1,9 @@
 """Explicit evolution of the 1D comparison equation for evolving moduli.
 
 The equation is ``phi_t = alpha(phi')*phi'' - (n-1)*tk*beta(phi')*phi'`` on
-[0, D/2], with the pluggable coefficient pair (alpha, beta) covering the heat
-equation (alpha = beta = 1) and p-Laplacian flows (alpha = (p-1)*m^(p-2),
-beta = m^(p-2) with m the regularized gradient magnitude).
+[0, D/2], with the p-Laplacian coefficient pair alpha = (p-1)*m^(p-2),
+beta = m^(p-2) (m the regularized gradient magnitude); its p = 2 member is
+the heat equation, alpha = beta = 1.
 
 Spatial discretization is centered second/first differences; the left end is
 an odd-reflection pivot (phi(0) = 0), the right end a ghost reflection that
@@ -31,9 +31,6 @@ from .model import (
 )
 from .specialfn import tk_array
 
-_HEAT = "heat"
-_PLAPLACIAN = "plaplacian"
-
 # Regularization scale used when a p-Laplacian flux carries epsilon = None:
 # epsilon = _AUTO_EPS_SCALE * osc(initial data) / diameter.
 _AUTO_EPS_SCALE = 1e-8
@@ -54,43 +51,38 @@ _MAX_ALPHA = 1e8
 
 @dataclass(frozen=True)
 class Flux:
-    """Coefficient pair selector: heat flow or p-Laplacian flow.
+    """The p-Laplacian flux; heat flow is its p = 2 member.
 
-    ``epsilon`` regularizes the p-Laplacian gradient magnitude as
-    m = sqrt(q^2 + epsilon^2).  ``epsilon=None`` requests the documented
-    default (relative to the evolved data) when used in an evolution; direct
-    coefficient evaluation treats ``None`` as the unregularized pair.  A valid
-    p = 2 flux is stored as the heat flux (alpha = beta = 1 for every epsilon).
+    ``epsilon`` regularizes the gradient magnitude as
+    m = sqrt(q^2 + epsilon^2) and must lie in [0, inf).  ``epsilon=None``
+    requests the documented default (relative to the evolved data) when used
+    in an evolution; direct coefficient evaluation treats ``None`` as the
+    unregularized pair.  A p = 2 flux stores ``epsilon=None``, since
+    alpha = beta = 1 there for every epsilon.
     """
 
-    kind: str
-    p: float | None = None
+    p: float = 2.0
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (_HEAT, _PLAPLACIAN):
-            raise InvalidParamsError(f"unknown flux kind {self.kind!r}")
-        if self.kind == _PLAPLACIAN:
-            if self.p is None or not (self.p > 1.0 and math.isfinite(self.p)):
-                raise InvalidParamsError(f"p-Laplacian flux requires p > 1, got {self.p!r}")
-            if self.epsilon is not None and not (self.epsilon >= 0.0):
-                raise InvalidParamsError(f"epsilon must be >= 0, got {self.epsilon!r}")
-            if self.p == 2.0:
-                object.__setattr__(self, "kind", _HEAT)
-                object.__setattr__(self, "p", None)
-                object.__setattr__(self, "epsilon", None)
+        if not (self.p > 1.0 and math.isfinite(self.p)):
+            raise InvalidParamsError(f"p-Laplacian flux requires p > 1, got {self.p!r}")
+        if self.epsilon is not None and not (0.0 <= self.epsilon < math.inf):
+            raise InvalidParamsError(f"epsilon must lie in [0, inf), got {self.epsilon!r}")
+        if self.p == 2.0:
+            object.__setattr__(self, "epsilon", None)
 
     @classmethod
     def heat(cls) -> "Flux":
-        return cls(kind=_HEAT)
+        return cls()
 
     @classmethod
     def plaplacian(cls, p: float, epsilon: float | None = None) -> "Flux":
-        return cls(kind=_PLAPLACIAN, p=p, epsilon=epsilon)
+        return cls(p, epsilon)
 
     @property
     def is_heat(self) -> bool:
-        return self.kind == _HEAT
+        return self.p == 2.0
 
 
 def flux_eval(flux: Flux, q: float) -> tuple[float, float]:
@@ -167,12 +159,12 @@ class StepControls:
     constant step (validated against the stability bound every step), which
     lets two evolutions on different grids share identical time stamps; it is
     stored as a Python float.
-    ``right_flux``/``left_flux`` prescribe time-dependent Neumann data at the
-    interval ends (zero when omitted); the left value is only consulted for
-    full-interval evolutions, which have no pivot at s = 0.  A flux coefficient
-    alpha above 1e8 raises :class:`CFLViolationError` whatever the controls,
-    as does, before the first step, a grid whose cell Peclet number
-    h*max|(n-1)*tk|/(2*(p-1)) exceeds 1 (p - 1 = 1 on the heat flux).
+    ``right_flux`` prescribes time-dependent Neumann data at the right end
+    (zero when omitted); the left end is the odd pivot on [0, D/2] and carries
+    zero Neumann data on a full interval.  A flux coefficient alpha above 1e8
+    raises :class:`CFLViolationError` whatever the controls, as does, before
+    the first step, a grid whose cell Peclet number h*max|(n-1)*tk|/(2*(p-1))
+    exceeds 1.
     Output times snap to the nearest step.  An evolution whose state at an
     output is not finite raises :class:`NonConvergenceError`, as does one
     needing more than 2^26 steps: a run with a known dt (heat, or
@@ -186,7 +178,6 @@ class StepControls:
     output_times: Sequence[float] | None = None
     fixed_dt: float | None = None
     right_flux: Callable[[float], float] | None = None
-    left_flux: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.5):
@@ -253,16 +244,16 @@ def _block_increment(band: np.ndarray, steps: int) -> np.ndarray:
     return power
 
 
-def _forcing_responses(band: np.ndarray, weight: float, right: bool, steps: int) -> np.ndarray:
+def _forcing_responses(band: np.ndarray, weight: float, steps: int) -> np.ndarray:
     """Columns M^(steps-1-j) (weight e_end) for j < steps, on the rows they reach.
 
-    The forcing enters at the right end (``right``) or the left end; after
-    j < steps steps it has spread over at most ``steps`` rows next to that end.
+    The forcing enters at the right end; after j < steps steps it has spread
+    over at most ``steps`` rows next to that end.
     """
     rows = min(steps, len(band))
-    part = band[-rows:] if right else band[:rows]
+    part = band[-rows:]
     x = np.zeros(rows)
-    x[-1 if right else 0] = weight
+    x[-1] = weight
     out = np.empty((rows, steps))
     for j in range(steps - 1, -1, -1):
         out[:, j] = x
@@ -287,7 +278,9 @@ def _march(
 
     One step is u + dt*(alpha*u'' - nm1_tk*beta*u') on the ghost-cell
     stencil, with dt = cfl*h^2/max(alpha) or ``fixed_dt`` checked against
-    that bound.  A p-Laplacian flux with epsilon = None is regularized by
+    that bound.  The left ghost is the odd reflection -u[1] on the pivot and
+    the plain reflection u[1] otherwise; the right ghost carries the Neumann
+    data ``right_flux``.  A p-Laplacian flux with epsilon = None is regularized by
     _AUTO_EPS_SCALE * osc(u0) / diameter.  Requested output times are snapped
     to the nearest completed step rather than interpolated, so recorded state
     is always genuine scheme output, and every stamp is a Python float; a
@@ -304,9 +297,9 @@ def _march(
     a Python float exponent, numpy's scalar-power path (0.5 is a square root).
 
     Before the first step, a grid whose cell Peclet number
-    h*max|nm1_tk|/(2*(p-1)) (p - 1 = 1 on the heat flux, since
-    beta/alpha = 1/(p-1)) exceeds 1 raises :class:`CFLViolationError`: the
-    centered drift would make the step non-monotone there.
+    h*max|nm1_tk|/(2*(p-1)) (beta/alpha = 1/(p-1)) exceeds 1 raises
+    :class:`CFLViolationError`: the centered drift would make the step
+    non-monotone there.
 
     Step budget: when dt is known before the first step (the heat flux, or
     ``fixed_dt`` set), a run whose step count ceil(t_last/dt) exceeds
@@ -349,7 +342,7 @@ def _march(
         return outputs
 
     heat = flux.is_heat
-    peclet = h * float(np.max(np.abs(nm1_tk))) / (2.0 * (1.0 if heat else flux.p - 1.0))
+    peclet = h * float(np.max(np.abs(nm1_tk))) / (2.0 * (flux.p - 1.0))
     if not peclet <= 1.0:
         raise CFLViolationError(
             "the cell Peclet number is %g, above 1: the drift (n-1)*tk outruns the "
@@ -357,7 +350,6 @@ def _march(
         )
     fixed = controls.fixed_dt is not None
     cfl_h2 = float(controls.cfl * h * h)  # so every dt and stamp is a Python float
-    gl = controls.left_flux or (lambda _t: 0.0)
     gr = controls.right_flux or (lambda _t: 0.0)
     # dt is known up front on the heat flux and whenever it is fixed
     dt = _step_size(controls, cfl_h2, 0.0) if heat else controls.fixed_dt
@@ -379,13 +371,10 @@ def _march(
     if heat:
         band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
         increment = _block_increment(band, _BLOCK)
-        ends = []  # (Neumann data, right end?, block forcing responses)
+        forcing = None  # block responses to the Neumann data, if any
         if controls.right_flux is not None:
             w = dt * (2.0 / h - nm1_tk[-1])
-            ends.append((gr, True, _forcing_responses(band, w, True, _BLOCK)))
-        if controls.left_flux is not None and not odd_pivot:
-            w = -dt * (2.0 / h + nm1_tk[0])
-            ends.append((gl, False, _forcing_responses(band, w, False, _BLOCK)))
+            forcing = _forcing_responses(band, w, _BLOCK)
         padded = np.zeros(len(u0) + 2 * _BLOCK)
         windows = sliding_window_view(padded, 2 * _BLOCK + 1)
         increments = np.full(_BLOCK + 1, dt)
@@ -423,16 +412,12 @@ def _march(
                 if not stepping:
                     np.subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
                     u += np.einsum("ij,ij->i", increment, windows, out=q)
-                    for g, right_end, responses in ends:
-                        forced = responses @ np.array([g(s) for s in times[:-1]])
-                        if right_end:
-                            u[-len(forced) :] += forced
-                        else:
-                            u[: len(forced)] += forced
+                    if forcing is not None:
+                        u[-len(forcing) :] += forcing @ np.array([gr(s) for s in times[:-1]])
                     t = times[-1]
                     k += _BLOCK
                     continue
-            ue[0] = -u[1] if odd_pivot else u[1] - two_h * gl(t)
+            ue[0] = -u[1] if odd_pivot else u[1]
             ue[-1] = u[-2] + two_h * gr(t)
             np.subtract(right, left, q)
             np.multiply(u, two, lap)

@@ -20,7 +20,6 @@ import numpy as np
 from .model import InvalidParamsError, ModelParams
 from .moc_pde import Flux, Profile, StepControls, _march
 from .specialfn import ck, tk_array
-from .sturm import _bisect_level, first_eigenvalue, integrate_phi
 
 # Admissibility slack on the Ricci comparison (absolute, curvature units).
 _RICCI_SLACK = 1e-12
@@ -110,15 +109,9 @@ class WarpedMetric:
 class RadialSolution:
     """Time-indexed radial (angularly constant) solution on [-D/2, D/2]."""
 
-    metric: WarpedMetric
-    flux: Flux
     nodes: np.ndarray
     times: list[float]
     profiles: list[np.ndarray]
-
-    @property
-    def h(self) -> float:
-        return float(self.nodes[1] - self.nodes[0])
 
     def oscillations(self) -> list[tuple[float, float]]:
         """(t, max - min) pairs; radial extrema realize the two-point oscillation."""
@@ -135,8 +128,9 @@ def radial_flow(
     """Evolve angularly constant data on the model manifold.
 
     This is the full-interval 1D reduction of the flow (no oddness
-    constraint); Neumann data at both ends comes from the step controls and
-    defaults to zero.  The cell count must be even so a node sits at s = 0.
+    constraint).  The left end carries zero Neumann data, the right end
+    ``controls.right_flux`` (zero when omitted).  The cell count must be even
+    so a node sits at s = 0.
     """
     controls = controls or StepControls()
     if not metric.admissible:
@@ -159,11 +153,7 @@ def radial_flow(
     nm1_tk = (params.n - 1) * tk_array(params.kappa, nodes)
     raw = _march(u0, h, nm1_tk, flux, params.diameter, t_end, controls, odd_pivot=False)
     return RadialSolution(
-        metric=metric,
-        flux=flux,
-        nodes=nodes,
-        times=[t for t, _ in raw],
-        profiles=[u for _, u in raw],
+        nodes=nodes, times=[t for t, _ in raw], profiles=[u for _, u in raw]
     )
 
 
@@ -265,32 +255,3 @@ def fit_decay(osc_series: Sequence[tuple[float, float]], window: float) -> float
         raise InvalidParamsError("fit window has no time spread")
     slope = float(np.dot(t_c, y - y.mean())) / denom
     return -slope
-
-
-def seeded_odd_initial_data(
-    params: ModelParams, cells: int, seed: int
-) -> tuple[np.ndarray, float]:
-    """Deterministic odd initial data with a guaranteed slowest-mode component.
-
-    Sums the sup-normalized shooting eigenfunctions of the odd Neumann modes
-    1, 3 and 5 on [0, D/2] with coefficients 1 + c0, c1, c2 (c seeded from
-    [-0.3, 0.3]) and reflects the sum oddly onto the full interval.  The decay
-    of this generic data is governed by the first nonzero eigenvalue, which
-    is returned alongside the samples.
-    """
-    if cells < 64 or cells % 2 != 0:
-        raise InvalidParamsError(f"cells must be even and >= 64, got {cells}")
-    if seed < 0:
-        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
-    mu = first_eigenvalue(params, 1e-7).mu
-    steps = cells // 2
-    modes = np.empty((3, steps + 1))
-    for j in range(3):
-        _, lo, _, _ = _bisect_level(params, 1e-8, steps, None, j)
-        phi = integrate_phi(params, lo, steps).phi
-        modes[j] = phi / np.max(np.abs(phi))
-    rng = np.random.default_rng(seed)
-    coeffs = 0.3 * rng.uniform(-1.0, 1.0, size=3)
-    right = modes[0] + coeffs @ modes
-    u = np.concatenate([-right[:0:-1], right])
-    return u / np.max(np.abs(u)), mu

@@ -319,6 +319,14 @@ class TestOutputHandling:
         assert code == 2
         assert "flux" in err
 
+    def test_infinite_epsilon_exits_2(self, capsys):
+        # epsilon = inf would give alpha = 0 at p < 2: a silently stationary run
+        code, out, err = run_cli(capsys, "evolve", "--flux", "plap:1.5:inf", "--t-end", "0.01",
+                                 "--grid", "32")
+        assert code == 2
+        assert out == ""
+        assert "epsilon" in err
+
     @pytest.mark.parametrize("argv", [
         ("evolve", "--t-end", "0.1", "--seed", "-1"),
         ("decay", "--seed", "-3"),

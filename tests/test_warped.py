@@ -24,8 +24,6 @@ from specgap import (
 )
 from specgap.specialfn import ck
 
-MU_3_M1_2 = 1.682043320038555
-
 
 def odd_sine_data(diameter: float, cells: int) -> np.ndarray:
     s = -diameter / 2 + np.arange(cells + 1) * (diameter / cells)
@@ -146,21 +144,6 @@ class TestRadialFlow:
                           StepControls(output_times=[0.1, 0.3]))
         for u in sol.profiles:
             np.testing.assert_array_equal(u, u0)
-
-    def test_eigenprofile_decay_full_interval(self):
-        params = ModelParams(3, -1.0, 2.0)
-        sigma = 0.9 * MU_3_M1_2
-        cells = 256
-        traj = integrate_phi(params, sigma, cells // 2)
-        u0 = np.concatenate([-traj.phi[:0:-1], traj.phi])
-        g = lambda t: traj.dphi[-1] * math.exp(-sigma * t)
-        sol = radial_flow(
-            WarpedMetric(params, 1.0), Flux.heat(), u0, 0.5,
-            StepControls(left_flux=g, right_flux=g),
-        )
-        u = sol.profiles[-1]
-        exact = math.exp(-sigma * sol.times[-1]) * u0
-        assert np.max(np.abs(u - exact)) / np.max(np.abs(exact)) < 1e-3
 
     def test_mode_mixture_decays_at_first_eigenvalue(self):
         params = ModelParams(3, -1.0, 2.0)
