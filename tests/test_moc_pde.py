@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from collections import deque
@@ -31,14 +32,18 @@ FLUXES = [Flux.plaplacian(3.0), Flux.plaplacian(3.0, 1e-3), Flux.plaplacian(1.5,
 FLUX_IDS = ["plap:3", "plap:3:1e-3", "plap:1.5:0.1", "plap:4:1e-3"]
 
 
-def reference_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot):
+def reference_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot, left_flux=None):
     """The explicit scheme one step at a time, with snapped outputs.
+
+    ``left_flux`` forces the left end of a full interval, which the stepper
+    itself reaches only by mirroring the interval.
 
     Heat uses alpha = mp = 1; the p-Laplacian uses mp = (q^2 + eps^2)^((p-2)/2)
     and alpha = (p-1)*mp, with eps = 1e-8 * osc(u0) / diameter when the flux
     leaves it unset.  dt = cfl*h^2/max(alpha) unless it is fixed.
     """
     targets = list(controls.output_times) if controls.output_times is not None else [t_end]
+    gl = left_flux or (lambda _t: 0.0)
     gr = controls.right_flux or (lambda _t: 0.0)
     if not flux.is_heat:
         eps = flux.epsilon
@@ -52,7 +57,8 @@ def reference_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot):
         outputs.append((0.0, u.copy()))
     t, k = 0.0, 0
     while pending:
-        ue = np.concatenate([[-u[1] if odd_pivot else u[1]], u, [u[-2] + 2.0 * h * gr(t)]])
+        ue = np.concatenate([[-u[1] if odd_pivot else u[1] - 2.0 * h * gl(t)], u,
+                             [u[-2] + 2.0 * h * gr(t)]])
         q = (ue[2:] - ue[:-2]) * (1.0 / (2.0 * h))
         lap = (ue[2:] - 2.0 * u + ue[:-2]) * (1.0 / (h * h))
         if flux.is_heat:
@@ -225,9 +231,10 @@ class TestHeatBlockMarch:
     def neumann_data(slope, sigma):
         return lambda t: slope * math.exp(-sigma * t)
 
-    def check_against_reference(self, got_times, got_values, u0, h, nm1_tk, controls, pivot):
+    def check_against_reference(self, got_times, got_values, u0, h, nm1_tk, controls, pivot,
+                                left_flux=None):
         ref = reference_march(Flux.heat(), self.PARAMS.diameter, u0, h, nm1_tk, 0.25,
-                              controls, pivot)
+                              controls, pivot, left_flux)
         assert got_times == [t for t, _ in ref]
         scale = np.max(np.abs(u0))
         for values, (_, ref_values) in zip(got_values, ref):
@@ -253,8 +260,10 @@ class TestHeatBlockMarch:
 
     @pytest.mark.parametrize("cells", [64, 200])
     @pytest.mark.parametrize("fixed", [False, True])
-    @pytest.mark.parametrize("forcing", ["none", "right"])
+    @pytest.mark.parametrize("forcing", ["none", "left", "right"])
     def test_radial_flow_matches_per_step_loop(self, cells, fixed, forcing):
+        # "left" forces the left end by mirroring the interval: tk is odd, so
+        # data g at -D/2 is data -g at D/2 for the reflected profile
         half = integrate_phi(self.PARAMS, self.SIGMA, cells // 2)
         u0 = np.concatenate([-half.phi[:0:-1], half.phi])
         g = self.neumann_data(half.dphi[-1], self.SIGMA)
@@ -265,9 +274,17 @@ class TestHeatBlockMarch:
             fixed_dt=dt if fixed else None,
             right_flux=g if forcing == "right" else None,
         )
-        sol = radial_flow(WarpedMetric(self.PARAMS, 1.0), Flux.heat(), u0, 0.25, controls)
+        metric = WarpedMetric(self.PARAMS, 1.0)
+        if forcing == "left":
+            mirrored = dataclasses.replace(controls, right_flux=lambda t: -g(t))
+            sol = radial_flow(metric, Flux.heat(), u0[::-1].copy(), 0.25, mirrored)
+            profiles = [u[::-1] for u in sol.profiles]
+        else:
+            sol = radial_flow(metric, Flux.heat(), u0, 0.25, controls)
+            profiles = sol.profiles
         nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, sol.nodes)
-        self.check_against_reference(sol.times, sol.profiles, u0, h, nm1_tk, controls, False)
+        self.check_against_reference(sol.times, profiles, u0, h, nm1_tk, controls, False,
+                                     g if forcing == "left" else None)
 
     def test_fixed_dt_above_the_bound_raises(self):
         phi0 = sine_profile(2.0, 32)

@@ -24,6 +24,8 @@ from specgap import (
 )
 from specgap.specialfn import ck
 
+MU_3_M1_2 = 1.682043320038555
+
 
 def odd_sine_data(diameter: float, cells: int) -> np.ndarray:
     s = -diameter / 2 + np.arange(cells + 1) * (diameter / cells)
@@ -144,6 +146,18 @@ class TestRadialFlow:
                           StepControls(output_times=[0.1, 0.3]))
         for u in sol.profiles:
             np.testing.assert_array_equal(u, u0)
+
+    def test_eigenprofile_decay_full_interval(self):
+        # the first eigenprofile, extended oddly to [-D/2, D/2], has zero
+        # Neumann data at both ends and decays as exp(-mu*t)
+        params = ModelParams(3, -1.0, 2.0)
+        cells = 256
+        traj = integrate_phi(params, MU_3_M1_2, cells // 2)
+        u0 = np.concatenate([-traj.phi[:0:-1], traj.phi])
+        sol = radial_flow(WarpedMetric(params, 1.0), Flux.heat(), u0, 0.5)
+        u = sol.profiles[-1]
+        exact = math.exp(-MU_3_M1_2 * sol.times[-1]) * u0
+        assert np.max(np.abs(u - exact)) / np.max(np.abs(exact)) < 1e-3
 
     def test_mode_mixture_decays_at_first_eigenvalue(self):
         params = ModelParams(3, -1.0, 2.0)
