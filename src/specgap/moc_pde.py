@@ -226,19 +226,40 @@ def _block_increment(band: np.ndarray, steps: int) -> np.ndarray:
     band holds it exactly.  Each row of M sums to 1, so the diagonal is set to
     minus the sum of the other entries: the rows of the increment then sum to
     0 to rounding of one sum, not to the rounding of steps products.
+
+    The powers are built diagonal-major.  Diagonal c (column offset c - steps)
+    of a power P is one contiguous line of a flat buffer, with a zero pad
+    entry at each end and a zero line beyond each outer diagonal.  Row i of
+    M P is then, on diagonal c,
+    sub_i*P[c + 1][i - 1] + diag_i*P[c][i] + super_i*P[c - 1][i + 1],
+    and the three operands of a whole run of diagonals are slices of the flat
+    buffer, one line minus one entry apart.  Power j writes only its 2j + 1
+    live diagonals, and the zero coefficients at the pads keep the pads zero.
+    Each entry is the same three products summed in the same order as in the
+    row-major recurrence, so the band is bitwise the same; it is transposed
+    to rows once, at the end, where the diagonal is set.
     """
     rows = len(band)
     width = 2 * steps + 1
-    # the band of the current power, padded by one zero row and column per side
-    padded = np.zeros((rows + 2, width + 2))
-    padded[1:-1, steps : steps + 3] = band
-    power = np.empty((rows, width))
-    term = np.empty((rows, width))
-    for _ in range(steps - 1):
-        np.multiply(band[:, :1], padded[:-2, 2:], out=power)
-        power += np.multiply(band[:, 1:2], padded[1:-1, 1:-1], out=term)
-        power += np.multiply(band[:, 2:], padded[2:, :-2], out=term)
-        padded[1:-1, 1:-1] = power
+    line = rows + 2  # one padded diagonal
+    # the (sub, diag, super) coefficients of each row, zero at the pads
+    coefficients = np.zeros((3, line))
+    coefficients[:, 1:-1] = band.T
+    sub, diag, sup = coefficients
+    # the current and the next power, and one product term
+    cur = np.zeros((width + 2) * line)
+    nxt = np.zeros_like(cur)
+    term = np.empty(width * line)
+    cur.reshape(width + 2, line)[steps : steps + 3, 1:-1] = band.T
+    for j in range(2, steps + 1):
+        start, stop = (steps + 1 - j) * line, (steps + 2 + j) * line
+        out = nxt[start:stop].reshape(-1, line)
+        t = term[: stop - start].reshape(-1, line)
+        np.multiply(sub, cur[start + line - 1 : stop + line - 1].reshape(-1, line), out=out)
+        out += np.multiply(diag, cur[start:stop].reshape(-1, line), out=t)
+        out += np.multiply(sup, cur[start - line + 1 : stop - line + 1].reshape(-1, line), out=t)
+        cur, nxt = nxt, cur
+    power = np.ascontiguousarray(cur.reshape(width + 2, line)[1:-1, 1:-1].T)
     power[:, steps] = 0.0
     power[:, steps] = -power.sum(axis=1)
     return power
@@ -295,6 +316,8 @@ def _march(
     arrays and its stencil scales as full rows, which spares numpy a Python
     scalar's dtype resolution and a broadcast on every call; the power keeps
     a Python float exponent, numpy's scalar-power path (0.5 is a square root).
+    max(alpha) is read at ``alpha.argmax()``, which returns the first NaN, so
+    a NaN or inf coefficient still meets the refusal below.
 
     Before the first step, a grid whose cell Peclet number
     h*max|nm1_tk|/(2*(p-1)) (beta/alpha = 1/(p-1)) exceeds 1 raises
@@ -314,7 +337,10 @@ def _march(
     while the next output lies beyond the next _BLOCK steps those steps are
     one banded product.  It adds (M^_BLOCK - I)(u - u[0]) to u in place,
     which is exact on constant data, plus the forcing responses times
-    g(t_k .. t_(k+_BLOCK-1)).  Block times accumulate exactly as single steps
+    g(t_k .. t_(k+_BLOCK-1)).  The band of M^_BLOCK - I is built once
+    (``_block_increment``), and each block multiplies it row by row into
+    windows of the zero-padded u - u[0] with ``np.vecdot``, one BLAS dot per
+    row.  Block times accumulate exactly as single steps
     accumulate them, so every time stamp equals that of the per-step loop and
     the values agree with it to roundoff.
     """
@@ -411,7 +437,7 @@ def _march(
                 stepping = pending[0] <= times[-1]
                 if not stepping:
                     np.subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
-                    u += np.einsum("ij,ij->i", increment, windows, out=q)
+                    u += np.vecdot(increment, windows, out=q)
                     if forcing is not None:
                         u[-len(forcing) :] += forcing @ np.array([gr(s) for s in times[:-1]])
                     t = times[-1]
@@ -429,7 +455,8 @@ def _march(
                 mp += eps2
                 mp **= exponent
                 np.multiply(mp, pm1, alpha)
-                max_alpha = float(np.maximum.reduce(alpha))  # alpha.max() without its wrapper
+                # argmax returns the first NaN, which the test below refuses
+                max_alpha = float(alpha[alpha.argmax()])
                 if not max_alpha <= _MAX_ALPHA:
                     raise CFLViolationError(
                         "max flux coefficient %g exceeds the stability bound %g at t = %g"

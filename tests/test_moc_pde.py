@@ -85,6 +85,24 @@ def reference_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot, l
     return outputs
 
 
+def reference_block_increment(band, steps):
+    """M^steps - I in band storage by the row-major recurrence P -> M P."""
+    rows = len(band)
+    width = 2 * steps + 1
+    padded = np.zeros((rows + 2, width + 2))
+    padded[1:-1, steps : steps + 3] = band
+    power = np.empty((rows, width))
+    term = np.empty((rows, width))
+    for _ in range(steps - 1):
+        np.multiply(band[:, :1], padded[:-2, 2:], out=power)
+        power += np.multiply(band[:, 1:2], padded[1:-1, 1:-1], out=term)
+        power += np.multiply(band[:, 2:], padded[2:, :-2], out=term)
+        padded[1:-1, 1:-1] = power
+    power[:, steps] = 0.0
+    power[:, steps] = -power.sum(axis=1)
+    return power
+
+
 def sine_profile(diameter: float, m: int) -> Profile:
     grid = Grid1D(diameter / 2.0, m)
     return Profile(grid=grid, t=0.0, values=np.sin(grid.nodes))
@@ -285,6 +303,35 @@ class TestHeatBlockMarch:
         nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, sol.nodes)
         self.check_against_reference(sol.times, profiles, u0, h, nm1_tk, controls, False,
                                      g if forcing == "left" else None)
+
+    def test_criterion_08_grid_matches_per_step_loop(self):
+        # criterion 08's 512 cells and right-end forcing, over about 100 blocks
+        traj = integrate_phi(self.PARAMS, self.SIGMA, 512)
+        grid = Grid1D(self.PARAMS.half_diameter, 512)
+        phi0 = Profile(grid=grid, t=0.0, values=traj.phi)
+        controls = StepControls(output_times=[0.004, 0.01],
+                                right_flux=self.neumann_data(traj.dphi[-1], self.SIGMA))
+        out = evolve(Flux.heat(), self.PARAMS, phi0, 0.01, controls)
+        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, grid.nodes)
+        self.check_against_reference([p.t for p in out], [p.values for p in out],
+                                     phi0.values, grid.h, nm1_tk, controls, True)
+
+    @pytest.mark.parametrize("rows", [17, 65, 257, 513])
+    @pytest.mark.parametrize("pivot", [True, False])
+    def test_block_increment_is_the_row_major_power(self, rows, pivot):
+        for kappa in (-1.0, 0.0, 0.5):
+            params = ModelParams(3, kappa, 2.0)
+            if pivot:
+                h = params.half_diameter / (rows - 1)
+                nodes = np.arange(rows) * h
+            else:
+                h = params.diameter / (rows - 1)
+                nodes = -params.half_diameter + np.arange(rows) * h
+            nm1_tk = (params.n - 1) * tk_array(kappa, nodes)
+            band = specgap.moc_pde._heat_step_band(h, nm1_tk, 0.4 * h * h, pivot)
+            for steps in (2, 3, 64):
+                assert np.array_equal(specgap.moc_pde._block_increment(band, steps),
+                                      reference_block_increment(band, steps))
 
     def test_fixed_dt_above_the_bound_raises(self):
         phi0 = sine_profile(2.0, 32)
@@ -646,6 +693,21 @@ class TestEvolvePLaplacian:
         phi0 = sine_profile(2.0, 32)  # zero gradient at the Neumann end
         with pytest.raises(CFLViolationError):
             evolve(Flux.plaplacian(1.5, 0.0), params, phi0, t_end=0.1)
+
+    def test_infinite_alpha_at_an_interior_node_is_refused(self):
+        # a flat interior plateau has zero gradient; the forced right end does not
+        params = ModelParams(2, 0.0, 2.0)
+        grid = Grid1D(1.0, 32)
+        s = grid.nodes
+        values = np.where(s < 0.3, s, np.where(s <= 0.6, 0.3, s - 0.3))
+        phi0 = Profile(grid=grid, t=0.0, values=values)
+        controls = StepControls(right_flux=lambda _t: 1.0)
+        with pytest.raises(CFLViolationError, match="inf"):
+            evolve(Flux.plaplacian(1.5, 0.0), params, phi0, t_end=0.1, controls=controls)
+
+    def test_argmax_reads_the_first_nan(self):
+        # _march reads max alpha at argmax, which must not pass over a NaN
+        assert np.array([1.0, np.inf, np.nan, 2.0, np.nan]).argmax() == 2
 
     def test_fully_degenerate_data_is_stationary(self):
         # p > 2 with zero data: alpha vanishes identically, nothing moves
