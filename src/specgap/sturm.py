@@ -21,12 +21,14 @@ Two independent routes to the same number:
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-count bisection on the zero-diagonal
   Golub-Kahan tridiagonal of its bidiagonal factor.  Newton on the same
-  recurrence, started from the value on an 8x coarser grid (or, for the
-  fine solve of the extrapolated oracle, from the coarse solve's value),
-  locates a narrow bracket that two Sturm counts prove; the bisection then
-  skips the counts outside it.  Every bisection decision, and so every
-  returned value, is bit for bit that of the plain bisection.  Serves as a
-  cross-check oracle for the shooting route and never reads its result.
+  recurrence, stopped at a step of at most 1e-7 relative and started from
+  the value on an 8x coarser grid (or, for the fine solve of the
+  extrapolated oracle, from the h^2-law extrapolation of the two coarser
+  solves), locates a narrow bracket that two Sturm counts prove; the
+  bisection then skips the counts outside it.  Every bisection decision,
+  and so every returned value, is bit for bit that of the plain bisection.
+  Serves as a cross-check oracle for the shooting route and never reads its
+  result.
 
 The two forms agree because ``(ck^(n-1))'/ck^(n-1) = -(n-1)*tk``.
 ``seeded_odd_initial_data`` builds generic evolution data from the shooting
@@ -114,7 +116,8 @@ def _shoot(
     exceeds ``mode + 1`` or the solution blows up: ``count <= mode`` is decided
     as by a march that stops past ``mode``, and ``end`` is known on both sides
     of the eigenvalue of mode ``mode``.  With output arrays it runs to the end
-    and records phi, phi' at nodes 1..steps.
+    and records phi, phi' at nodes 1..steps.  ``tks`` is ``_shooting_grid``'s
+    list of tk at the 2*steps + 1 nodes and half-nodes.
     """
     # same IEEE results as numpy scalars, without a numpy call per operation
     sigma, h = float(sigma), float(h)
@@ -126,25 +129,31 @@ def _shoot(
     count = 0
     h2 = 0.5 * h
     h6 = h / 6.0
-    for i in range(steps):
-        t0 = tks[2 * i]
-        tm = tks[2 * i + 1]
-        t1 = tks[2 * i + 2]
-        k1d = nm1 * t0 * dphi - sigma * phi
+    # nm1*t*y evaluates as (nm1*t)*y, so the products nm1*t are formed once
+    # per node and the end node's product is the next step's start one
+    nodes = iter(tks)
+    c0 = nm1 * next(nodes)
+    i = 0
+    for tm, t1 in zip(nodes, nodes):
+        cm = nm1 * tm
+        c1 = nm1 * t1
+        k1d = c0 * dphi - sigma * phi
         p2 = phi + h2 * dphi
         d2 = dphi + h2 * k1d
-        k2d = nm1 * tm * d2 - sigma * p2
+        k2d = cm * d2 - sigma * p2
         p3 = phi + h2 * d2
         d3 = dphi + h2 * k2d
-        k3d = nm1 * tm * d3 - sigma * p3
+        k3d = cm * d3 - sigma * p3
         p4 = phi + h * d3
         d4 = dphi + h * k3d
-        k4d = nm1 * t1 * d4 - sigma * p4
+        k4d = c1 * d4 - sigma * p4
+        c0 = c1
         phi += h6 * (dphi + 2.0 * (d2 + d3) + d4)
         dphi += h6 * (k1d + 2.0 * (k2d + k3d) + k4d)
         if record:
-            phis[i + 1] = phi
-            dphis[i + 1] = dphi
+            i += 1
+            phis[i] = phi
+            dphis[i] = dphi
         if (dphi > 0.0) == rising:
             if dphi > big or phi > big or phi < -big:
                 # grew without a further sign change: the count is final on this grid
@@ -402,15 +411,18 @@ def _fd_flux_factor(params: ModelParams, gridpoints: int) -> np.ndarray:
 
 
 def _sv_count(c2: list[float], x: float) -> int:
-    """Eigenvalues of the zero-diagonal tridiagonal (off^2 = c2) below x."""
+    """Eigenvalues of the zero-diagonal tridiagonal (off^2 = c2) below x.
+
+    A zero pivot q_(i-1), of either sign, is replaced by 1e-300; a NaN one
+    passes through.
+    """
     count = 0
-    q = -x
+    mx = -x
+    q = mx
     if q < 0.0:
         count += 1
     for ck2 in c2:
-        if q == 0.0:
-            q = 1e-300
-        q = -x - ck2 / q
+        q = mx - ck2 / (q or 1e-300)
         if q < 0.0:
             count += 1
     return count
@@ -420,24 +432,28 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
     """Newton on det(T - xI) of the zero-diagonal tridiagonal, started at x.
 
     One pass of the Sturm recurrence q_i = -x - c2_i/q_(i-1) also carries
-    q_i' = -1 + c2_i*q_(i-1)'/q_(i-1)^2, and det'/det = sum q_i'/q_i.  Stops
-    once a step is at most 1e-9*x (convergence is quadratic, so the error
-    left is of the order of that step squared), or after 6 steps; NaN on a
-    zero pivot.  The result is only a guess: two Sturm counts prove any
-    bracket built on it.
+    q_i' = -1 + c2_i*q_(i-1)'/q_(i-1)^2, and det'/det = sum q_i'/q_i; the pass
+    carries 1/q_i, so each entry costs one division.  Stops once a step is at
+    most 1e-7*x (convergence is quadratic, so the error left is of the order
+    of that step squared), or after 6 steps; NaN on a zero pivot.  From the
+    h^2-law seed of ``sl_fd_oracle_extrapolated``'s fine solve, which is
+    within about 1e-9 relative, one pass meets that stop.  The result is
+    only a guess: two Sturm counts prove any bracket built on it.
     """
     try:
         for _ in range(6):
-            q, dq = -x, -1.0
-            s = dq / q
+            mx = -x
+            iq = 1.0 / mx
+            dq = -1.0
+            s = -iq
             for ck2 in c2:
-                r = ck2 / q
-                dq = r * dq / q - 1.0
-                q = -x - r
-                s += dq / q
+                r = ck2 * iq
+                dq = r * dq * iq - 1.0
+                iq = 1.0 / (mx - r)
+                s += dq * iq
             step = 1.0 / s
             x -= step
-            if abs(step) <= 1e-9 * x:
+            if abs(step) <= 1e-7 * x:
                 break
     except ZeroDivisionError:
         return math.nan
@@ -458,11 +474,12 @@ def _fd_singular_value(
     sigma_k < x exactly when the Sturm count reaches gridpoints + 1 + k.
 
     The bisection from [0, 2*max c] to a relative width of 1e-14 decides
-    every midpoint by that count.  Newton polishes ``guess`` into x; without
-    one, above 64 cells, the guess is the same index's value on an 8x
-    coarser grid (at least 64 cells), as in the coarse solve of
-    ``sl_fd_oracle_extrapolated``, whose fine solve is seeded by the coarse
-    value.  [x - w, x + w] is accepted only when
+    every midpoint by that count.  Newton polishes ``guess`` into x, to a
+    last step of at most 1e-7*x; without a guess, above 64 cells, the guess
+    is the same index's value on an 8x coarser grid (at least 64 cells), as
+    in the coarse solve of ``sl_fd_oracle_extrapolated``, whose fine solve
+    is seeded by the h^2-law extrapolation of its two coarser values.
+    [x - w, x + w] is accepted only when
     count(x - w) < want <= count(x + w), with w = 4e-14*x widened 4x up to
     three times.  The count is monotone in x, so a midpoint at or below
     x - w is a "below" and one at or above x + w an "above" without a count:
@@ -529,9 +546,20 @@ def _fd_first_singular_value(
 def sl_fd_oracle_extrapolated(params: ModelParams, gridpoints: int) -> float:
     """Richardson extrapolation cancelling the second-order error term.
 
-    Newton on the 2*gridpoints grid starts from the gridpoints solve's
-    singular value, which needs no coarser seed chain of its own.
+    The gridpoints solve is seeded by the solve on c = gridpoints//8 cells.
+    The 2*gridpoints solve is seeded by both: the discrete singular value
+    follows the h^2 error law s_g = s + C/g^2 + O(g^-4) (Paine, de Hoog &
+    Anderssen, Computing 26, 1981), so s_2g ~ s_g - (3/4)*(s_c - s_g)/(r^2 - 1)
+    with r = gridpoints/c, which is 8 when 8 divides gridpoints.  On the
+    benchmark lattice that guess is within 1e-9 relative of the result, so
+    the fine Newton stops after one pass.
     """
-    coarse = _fd_first_singular_value(params, gridpoints)
-    fine = _fd_first_singular_value(params, 2 * gridpoints, coarse)
+    if gridpoints < 64:
+        raise InvalidParamsError(f"gridpoints must be >= 64, got {gridpoints}")
+    seed_grid = gridpoints // 8
+    seed = _fd_singular_value(params, seed_grid, 1)
+    coarse = _fd_first_singular_value(params, gridpoints, seed)
+    ratio = gridpoints / seed_grid
+    guess = coarse - 0.75 * (seed - coarse) / (ratio * ratio - 1.0)
+    fine = _fd_first_singular_value(params, 2 * gridpoints, guess)
     return (4.0 * (fine * fine) - coarse * coarse) / 3.0

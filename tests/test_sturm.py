@@ -650,3 +650,148 @@ class TestIllinoisLevel:
         assert len(levels) >= 3
         assert res.evaluations == len(calls) == sum(levels)
         assert res.iterations == levels[-1]
+
+
+def reference_shoot(nm1, sigma, h, steps, tks, mode, phis=None, dphis=None):
+    """Reference RK4 kernel: indexes tks per step and forms nm1*t inside each stage."""
+    sigma, h = float(sigma), float(h)
+    record = phis is not None
+    limit = steps if record else mode + 1
+    big = math.inf if record else 1e200
+    phi, dphi = 0.0, 1.0
+    rising = True
+    count = 0
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    for i in range(steps):
+        t0 = tks[2 * i]
+        tm = tks[2 * i + 1]
+        t1 = tks[2 * i + 2]
+        k1d = nm1 * t0 * dphi - sigma * phi
+        p2 = phi + h2 * dphi
+        d2 = dphi + h2 * k1d
+        k2d = nm1 * tm * d2 - sigma * p2
+        p3 = phi + h2 * d2
+        d3 = dphi + h2 * k2d
+        k3d = nm1 * tm * d3 - sigma * p3
+        p4 = phi + h * d3
+        d4 = dphi + h * k3d
+        k4d = nm1 * t1 * d4 - sigma * p4
+        phi += h6 * (dphi + 2.0 * (d2 + d3) + d4)
+        dphi += h6 * (k1d + 2.0 * (k2d + k3d) + k4d)
+        if record:
+            phis[i + 1] = phi
+            dphis[i + 1] = dphi
+        if (dphi > 0.0) == rising:
+            if dphi > big or phi > big or phi < -big:
+                return count, math.nan
+        else:
+            rising = not rising
+            count += 1
+            if count > limit:
+                return count, math.nan
+    return count, dphi
+
+
+def reference_sv_count(c2, x):
+    """Reference Sturm count: tests each pivot for zero before dividing."""
+    count = 0
+    q = -x
+    if q < 0.0:
+        count += 1
+    for ck2 in c2:
+        if q == 0.0:
+            q = 1e-300
+        q = -x - ck2 / q
+        if q < 0.0:
+            count += 1
+    return count
+
+
+class TestScalarKernels:
+    """The shooting and Sturm-count loops keep every IEEE operation of the reference loops."""
+
+    POINTS = [
+        ModelParams(3, -1.0, 2.0),
+        ModelParams(8, -81.45, 0.3007),
+        ModelParams(10, -1.0, 20.0),
+        ModelParams(9, 12.01, 0.8362),
+    ]
+
+    @pytest.mark.parametrize(
+        "params", POINTS, ids=lambda p: "%g,%g,%g" % (p.n, p.kappa, p.diameter)
+    )
+    @pytest.mark.parametrize("steps", [128, 1024])
+    def test_shoot_is_the_reference_kernel(self, params, steps):
+        mu = sl_fd_oracle(params, 256)
+        nm1, h, tks = _shooting_grid(params, steps)
+        traj = integrate_phi(params, mu, steps)
+        phis, dphis = np.zeros(steps + 1), np.ones(steps + 1)
+        reference_shoot(nm1, mu, h, steps, tks, 0, phis, dphis)
+        assert np.array_equal(traj.phi, phis)
+        assert np.array_equal(traj.dphi, dphis)
+        rng = np.random.default_rng(steps)
+        blowup = 1e4 / h**2  # RK4 amplifies by about (sigma*h^2)^2/24 a step, without a sign change
+        sigmas = [0.0, mu, *(mu * rng.uniform(0.0, 3.0, size=24)), blowup]
+        for mode in range(3):
+            for sigma in sigmas:
+                count, end = _shoot(nm1, sigma, h, steps, tks, mode)
+                ref_count, ref_end = reference_shoot(nm1, sigma, h, steps, tks, mode)
+                assert count == ref_count
+                assert end == ref_end or (math.isnan(end) and math.isnan(ref_end))
+        count, end = _shoot(nm1, blowup, h, steps, tks, 2)
+        assert count == 0 and math.isnan(end)  # stopped by the blow-up test
+
+    @pytest.mark.parametrize(
+        "c2, x",
+        [
+            ([1.0, 1.0], 1.0),  # q_1 = -1 - 1/(-1) is exactly 0.0
+            ([0.0, 1.0, 2.0], 0.0),  # q_0 = -0.0 and q_1 = -0.0 - 0.0/1e-300 = -0.0
+            ([1.0, math.nan, 1.0], 0.5),
+            ([1.0, 4.0, 9.0], -2.0),
+            ([1.0, 4.0, 9.0], -0.0),
+        ],
+    )
+    def test_sv_count_edge_pivots(self, c2, x):
+        assert _sv_count(c2, x) == reference_sv_count(c2, x)
+
+    def test_sv_count_next_to_a_root(self):
+        params = spectrum_lattice(1)[3]
+        c = _fd_flux_factor(params, 4096)
+        c2 = (c * c).tolist()
+        assert len(c2) == 8192
+        root = _fd_singular_value(params, 4096, 1)
+        rng = np.random.default_rng(0)
+        counts = set()
+        for x in root * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, size=200)):
+            count = _sv_count(c2, x)
+            assert count == reference_sv_count(c2, x)
+            counts.add(count)
+        assert len(counts) == 2  # the draws straddle the root
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fine_oracle_solve_takes_one_newton_guess_and_few_counts(self, monkeypatch, seed):
+        newton, count = specgap.sturm._newton_singular_value, specgap.sturm._sv_count
+        guesses, counts = [], []
+
+        def newton_spy(c2, x):
+            out = newton(c2, x)
+            if len(c2) == 8192:
+                guesses.append(abs(x - out) / out)
+            return out
+
+        def count_spy(c2, x):
+            if len(c2) == 8192:
+                counts[-1] += 1
+            return count(c2, x)
+
+        monkeypatch.setattr(specgap.sturm, "_newton_singular_value", newton_spy)
+        monkeypatch.setattr(specgap.sturm, "_sv_count", count_spy)
+        for params in spectrum_lattice(seed):
+            counts.append(0)
+            sl_fd_oracle_extrapolated(params, 2048)
+        # the h^2 seed; the coarse value that seeded this solve before was 2e-6 off
+        assert len(guesses) == len(counts) == 9
+        assert max(guesses) < 1e-8
+        assert sum(counts) <= 56
+        assert max(counts) <= 7
