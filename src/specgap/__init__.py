@@ -21,6 +21,7 @@ from .moc_pde import Flux, Grid1D, Profile, StepControls, evolve, flux_eval
 from .specialfn import ck, sk, tk
 from .sturm import (
     EigenResult,
+    GridLevel,
     PhiTrajectory,
     first_eigenvalue,
     integrate_phi,
@@ -50,6 +51,7 @@ __all__ = [
     "EigenResult",
     "Flux",
     "Grid1D",
+    "GridLevel",
     "InvalidParamsError",
     "ModelParams",
     "NonConvergenceError",

@@ -16,7 +16,10 @@ Two independent routes to the same number:
   on, each level starts from a tol/8 bracket around the RK4 (h^4)
   prediction from the two coarser levels.  One outward search, by doubling
   widths, moves any starting bracket that misses, and sigma <= 0, where the
-  predicate provably holds, is never shot.
+  predicate provably holds, is never shot.  Grids double until the last
+  delta is below tol/4 and the one before below 16*tol/4: one doubling
+  shrinks an h^4 error at most 16x, so the error left is about a fifteenth
+  of the last delta.
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-count bisection on the zero-diagonal
@@ -39,14 +42,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import InvalidParamsError, ModelParams, NonConvergenceError, PoleError
 from .specialfn import ck, sk, tk_array
 
-# Starting grid for the shooting integrator; refined by doubling until two
-# successive refinements move the eigenvalue by less than tol/4.
+# Starting grid for the shooting integrator; refined by doubling until the
+# last refinement moves the eigenvalue by less than tol/4 and the one before
+# by less than 16*tol/4.  RK4's h^4 law shrinks a delta at most 16x per
+# doubling, so the error left in the finest level is about delta/15 < tol/60.
 _INITIAL_STEPS = 128
 _MAX_STEPS = 1 << 22
 
@@ -71,21 +77,39 @@ class PhiTrajectory:
     dphi: np.ndarray
 
 
+class GridLevel(NamedTuple):
+    """One shooting grid: its steps, mu, sigma bracket and predicate calls."""
+
+    steps: int
+    mu: float
+    lo: float
+    hi: float
+    evaluations: int
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """Converged eigenvalue with its final sigma bracket and grid.
 
     ``integrate_phi(params, bracket_lo, steps)`` gives the eigenfunction.
-    ``iterations`` counts the predicate calls of the final grid level and
-    ``evaluations`` those of all levels.
+    ``levels`` holds every grid level, coarsest first; the last one is the
+    reported one.  ``iterations`` counts the predicate calls of the final
+    level and ``evaluations`` those of all levels.
     """
 
     mu: float
     bracket_lo: float
     bracket_hi: float
-    iterations: int
     steps: int
-    evaluations: int
+    levels: tuple[GridLevel, ...]
+
+    @property
+    def iterations(self) -> int:
+        return self.levels[-1].evaluations
+
+    @property
+    def evaluations(self) -> int:
+        return sum(level.evaluations for level in self.levels)
 
 
 def _shooting_grid(params: ModelParams, steps: int) -> tuple[float, float, list[float]]:
@@ -285,13 +309,17 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
 
     The sigma bracket is narrowed to tol/8 (``_bisect_level``: Illinois steps
     on phi'(D/2), each decided by the predicate) on successively doubled
-    integration grids until two successive refinements move the eigenvalue by
-    less than tol/4, so the reported value carries both a tight bracket and a
-    grid-convergence check.  The first level starts from the hint (0, a
-    curvature-scaled guess), the second from the first bracket widened by a
-    margin.  Later levels start from a bracket just under tol/8 wide centred
-    on mu_k + (mu_k - mu_(k-1))/16, the next value that RK4's h^4 error law
-    predicts.  ``_bisect_level`` steps outward from a hint that misses, by
+    integration grids.  Level k is accepted once |mu_k - mu_(k-1)| < tol/4
+    and |mu_(k-1) - mu_(k-2)| < 16*tol/4.  Under RK4's h^4 error law one
+    doubling shrinks a delta at most 16x, so the second test rejects a last
+    delta that is small by accident, and the error left in mu_k is about
+    |mu_k - mu_(k-1)|/15, under tol/60.  The reported value is the raw finest
+    level, so it carries both a proved bracket and a grid-convergence check.
+    ``levels`` records every level.  The first level starts from the hint
+    (0, a curvature-scaled guess), the second from the first bracket widened
+    by a margin.  Later levels start from a bracket just under tol/8 wide
+    centred on mu_k + (mu_k - mu_(k-1))/16, the next value that RK4's h^4
+    error law predicts.  ``_bisect_level`` steps outward from a hint that misses, by
     doubling widths, without shooting sigma <= 0, and the predicate alone
     decides every trial.  A zero of phi' at the endpoint counts as predicate
     failure (the Neumann condition holds exactly at the eigenvalue).
@@ -301,27 +329,21 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
     tol_sigma = tol / _SIGMA_REFINE
     steps = _INITIAL_STEPS
     hint = None
-    mus: list[float] = []
-    total = 0
+    levels: list[GridLevel] = []
     while True:
         mu, lo, hi, evals = _bisect_level(params, tol_sigma, steps, hint)
-        total += evals
-        mus.append(mu)
-        deltas = [abs(b - a) for a, b in zip(mus[:-1], mus[1:])]
-        if len(deltas) >= 2 and deltas[-1] < tol / 4 and deltas[-2] < tol / 4:
-            return EigenResult(
-                mu=mu,
-                bracket_lo=lo,
-                bracket_hi=hi,
-                iterations=evals,
-                steps=steps,
-                evaluations=total,
-            )
-        if len(mus) >= 2:
+        levels.append(GridLevel(steps, mu, lo, hi, evals))
+        if (
+            len(levels) >= 3
+            and abs(mu - levels[-2].mu) < tol / 4
+            and abs(levels[-2].mu - levels[-3].mu) < 16 * tol / 4
+        ):
+            return EigenResult(mu, lo, hi, steps, tuple(levels))
+        if len(levels) >= 2:
             # RK4's error falls 16x per doubling: predict the next level.  Two
             # ulps less than tol_sigma/2 keep the rounded hint within
             # tol_sigma, so a hint that holds the eigenvalue needs no trial.
-            guess = mu + (mu - mus[-2]) / 16.0
+            guess = mu + (mu - levels[-2].mu) / 16.0
             half = max(0.5 * tol_sigma - 2.0 * math.ulp(guess), 0.0)
             hint = (guess - half, guess + half)
         else:

@@ -175,6 +175,39 @@ class TestFirstEigenvalue:
                 oracle = sl_fd_oracle_extrapolated(params, 2048)
                 assert abs(mu - oracle) / mu < 1e-6
 
+    @pytest.mark.parametrize("seed", [1, 2, None])
+    def test_accepted_level_is_the_first_that_meets_the_h4_rule(self, seed):
+        tol = 1e-9
+        for params in spectrum_lattice(seed) if seed else TestIllinoisLevel.NAMED:
+            res = first_eigenvalue(params, tol)
+            levels = res.levels
+            assert [level.steps for level in levels] == [128 << k for k in range(len(levels))]
+            assert levels[-1] == (res.steps, res.mu, res.bracket_lo, res.bracket_hi, res.iterations)
+            assert res.evaluations == sum(level.evaluations for level in levels)
+            assert all(level.lo <= level.mu <= level.hi for level in levels)
+            mus = [level.mu for level in levels]
+            accepted = [
+                k
+                for k in range(2, len(mus))
+                if abs(mus[k] - mus[k - 1]) < tol / 4
+                and abs(mus[k - 1] - mus[k - 2]) < 16 * tol / 4
+            ]
+            assert accepted == [len(mus) - 1]
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0])
+    def test_h4_rule_stops_at_512_steps(self, kappa):
+        # two deltas under tol/4 asked for 1024 steps at the CLI default kappa = 0
+        assert first_eigenvalue(ModelParams(3, kappa, 2.0), 1e-9).steps == 512
+
+    def test_seeded_lattice_within_tol_of_a_tight_solve(self):
+        rng = np.random.default_rng(0)
+        n = rng.integers(2, 11, size=12)
+        d = np.exp(rng.uniform(math.log(0.2), math.log(20.0), size=12))
+        kd2 = rng.uniform(-50.0, 0.9 * math.pi**2, size=12)
+        for params in map(ModelParams, n.tolist(), (kd2 / d**2).tolist(), d.tolist()):
+            tight = first_eigenvalue(params, 1e-11).mu
+            assert abs(first_eigenvalue(params, 1e-9).mu - tight) < 1e-9
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParamsError):
             ModelParams(1, 0.0, 1.0)
@@ -488,7 +521,7 @@ def reference_eigenvalue(params: ModelParams, tol: float):
         mu, lo, hi, _ = reference_level(params, tol / 8.0, steps, hint)
         mus.append(mu)
         deltas = [abs(b - a) for a, b in zip(mus[:-1], mus[1:])]
-        if len(deltas) >= 2 and deltas[-1] < tol / 4 and deltas[-2] < tol / 4:
+        if len(deltas) >= 2 and deltas[-1] < tol / 4 and deltas[-2] < 16 * tol / 4:
             return lo, hi, steps
         margin = max(64.0 * tol, 1e-6 * max(1.0, abs(mu)))
         hint = (lo - margin, hi + margin)
