@@ -265,24 +265,34 @@ def _block_increment(band: np.ndarray, steps: int) -> np.ndarray:
     return power
 
 
-def _forcing_responses(band: np.ndarray, weight: float, steps: int) -> np.ndarray:
-    """Columns M^(steps-1-j) (weight e_end) for j < steps, on the rows they reach.
+def _forcing_responses(band: np.ndarray, weight: float, increment: np.ndarray) -> None:
+    """Write the block's responses to the Neumann data into ``increment``'s pad columns.
 
-    The forcing enters at the right end; after j < steps steps it has spread
-    over at most ``steps`` rows next to that end.
+    Data g_j at step j < steps enters the last row as weight*g_j, and the
+    remaining steps - 1 - j steps carry it on as the column
+    M^(steps-1-j) (weight e_end), which reaches the last steps - j rows.  Row
+    m - r of the band (m the last row) holds columns m - r - steps ..
+    m - r + steps, so its window of the zero-padded state sees entry j of the
+    right pad at band column steps + r + 1 + j, for exactly the j <= steps -
+    1 - r whose response reaches it.  Response j is written there: a block
+    whose right pad holds g(t_k .. t_(k+steps-1)) then adds the forcing in
+    the same dot product as the increment.  The columns beyond the grid are
+    zero before, so ``increment`` keeps its values on the grid.
     """
+    steps = increment.shape[1] // 2
     rows = min(steps, len(band))
     part = band[-rows:]
     x = np.zeros(rows)
     x[-1] = weight
-    out = np.empty((rows, steps))
+    responses = np.empty((rows, steps))
     for j in range(steps - 1, -1, -1):
-        out[:, j] = x
+        responses[:, j] = x
         y = part[:, 1] * x
         y[1:] += part[1:, 0] * x[:-1]
         y[:-1] += part[:-1, 2] * x[1:]
         x = y
-    return out
+    r, j = np.nonzero(np.add.outer(np.arange(rows), np.arange(steps)) < steps)
+    increment[-1 - r, steps + 1 + r + j] = responses[-1 - r, j]
 
 
 def _march(
@@ -338,11 +348,15 @@ def _march(
     one banded product.  It adds (M^_BLOCK - I)(u - u[0]) to u in place,
     which is exact on constant data, plus the forcing responses times
     g(t_k .. t_(k+_BLOCK-1)).  The band of M^_BLOCK - I is built once
-    (``_block_increment``), and each block multiplies it row by row into
-    windows of the zero-padded u - u[0] with ``np.vecdot``, one BLAS dot per
-    row.  Block times accumulate exactly as single steps
-    accumulate them, so every time stamp equals that of the per-step loop and
-    the values agree with it to roundoff.
+    (``_block_increment``), with the forcing responses of a run with Neumann
+    data written into its columns beyond the grid (``_forcing_responses``).
+    Each block multiplies the band row by row into windows of u - u[0],
+    padded with zeros on the left and, on the right, with the block's Neumann
+    data (zeros in an unforced run), using ``np.vecdot``: one BLAS dot per
+    row applies the increment and the forcing together.  Block times
+    accumulate exactly as single steps accumulate them, so every time stamp
+    equals that of the per-step loop and the values agree with it to
+    roundoff.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise InvalidParamsError(f"t_end must be positive, got {t_end}")
@@ -397,11 +411,12 @@ def _march(
     if heat:
         band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
         increment = _block_increment(band, _BLOCK)
-        forcing = None  # block responses to the Neumann data, if any
-        if controls.right_flux is not None:
-            w = dt * (2.0 / h - nm1_tk[-1])
-            forcing = _forcing_responses(band, w, _BLOCK)
+        forced = controls.right_flux is not None
+        if forced:
+            _forcing_responses(band, dt * (2.0 / h - nm1_tk[-1]), increment)
+        # u - u[0] between two pads; a forced block's Neumann data in the right one
         padded = np.zeros(len(u0) + 2 * _BLOCK)
+        neumann = padded[-_BLOCK:]
         windows = sliding_window_view(padded, 2 * _BLOCK + 1)
         increments = np.full(_BLOCK + 1, dt)
     else:
@@ -437,9 +452,9 @@ def _march(
                 stepping = pending[0] <= times[-1]
                 if not stepping:
                     np.subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
+                    if forced:
+                        neumann[:] = [gr(s) for s in times[:-1]]
                     u += np.vecdot(increment, windows, out=q)
-                    if forcing is not None:
-                        u[-len(forcing) :] += forcing @ np.array([gr(s) for s in times[:-1]])
                     t = times[-1]
                     k += _BLOCK
                     continue

@@ -25,9 +25,9 @@ Two independent routes to the same number:
   reflection, solved by Sturm-count bisection on the zero-diagonal
   Golub-Kahan tridiagonal of its bidiagonal factor.  Newton on the same
   recurrence, stopped at a step of at most 1e-7 relative and started from
-  the value on an 8x coarser grid (or, for the fine solve of the
-  extrapolated oracle, from the h^2-law extrapolation of the two coarser
-  solves), locates a narrow bracket that two Sturm counts prove; the
+  the value on an 8x coarser grid (or, for the two finest solves of the
+  extrapolated oracle, from the h^2-law extrapolation of the two solves
+  below each), locates a narrow bracket that two Sturm counts prove; the
   bisection then skips the counts outside it.  Every bisection decision,
   and so every returned value, is bit for bit that of the plain bisection.
   Serves as a cross-check oracle for the shooting route and never reads its
@@ -458,9 +458,9 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
     carries 1/q_i, so each entry costs one division.  Stops once a step is at
     most 1e-7*x (convergence is quadratic, so the error left is of the order
     of that step squared), or after 6 steps; NaN on a zero pivot.  From the
-    h^2-law seed of ``sl_fd_oracle_extrapolated``'s fine solve, which is
-    within about 1e-9 relative, one pass meets that stop.  The result is
-    only a guess: two Sturm counts prove any bracket built on it.
+    h^2-law seeds of ``sl_fd_oracle_extrapolated``'s two finest solves,
+    within about 1e-6 relative, one pass mostly meets that stop.  The result
+    is only a guess: two Sturm counts prove any bracket built on it.
     """
     try:
         for _ in range(6):
@@ -499,8 +499,9 @@ def _fd_singular_value(
     every midpoint by that count.  Newton polishes ``guess`` into x, to a
     last step of at most 1e-7*x; without a guess, above 64 cells, the guess
     is the same index's value on an 8x coarser grid (at least 64 cells), as
-    in the coarse solve of ``sl_fd_oracle_extrapolated``, whose fine solve
-    is seeded by the h^2-law extrapolation of its two coarser values.
+    in the coarsest solve of ``sl_fd_oracle_extrapolated``, whose two finer
+    solves are seeded by the h^2-law extrapolation of the two values below
+    each.
     [x - w, x + w] is accepted only when
     count(x - w) < want <= count(x + w), with w = 4e-14*x widened 4x up to
     three times.  The count is monotone in x, so a midpoint at or below
@@ -565,23 +566,40 @@ def _fd_first_singular_value(
     return sigma
 
 
+def _h2_law(s_c: float, s_g: float, r: float, k: float) -> float:
+    """The value on k*g cells from those on c and g = r*c cells, by s_g = s + C/g^2."""
+    return s_g - (1.0 - 1.0 / (k * k)) * (s_c - s_g) / (r * r - 1.0)
+
+
 def sl_fd_oracle_extrapolated(params: ModelParams, gridpoints: int) -> float:
     """Richardson extrapolation cancelling the second-order error term.
 
-    The gridpoints solve is seeded by the solve on c = gridpoints//8 cells.
-    The 2*gridpoints solve is seeded by both: the discrete singular value
-    follows the h^2 error law s_g = s + C/g^2 + O(g^-4) (Paine, de Hoog &
-    Anderssen, Computing 26, 1981), so s_2g ~ s_g - (3/4)*(s_c - s_g)/(r^2 - 1)
-    with r = gridpoints/c, which is 8 when 8 divides gridpoints.  On the
-    benchmark lattice that guess is within 1e-9 relative of the result, so
-    the fine Newton stops after one pass.
+    The discrete singular value follows the h^2 error law
+    s_g = s + C/g^2 + O(g^-4) (Paine, de Hoog & Anderssen, Computing 26,
+    1981), so two values s_c, s_g with g = r*c predict the one on k*g cells as
+    s_g - (1 - 1/k^2)*(s_c - s_g)/(r^2 - 1) (``_h2_law``).  The solve on
+    c = gridpoints//8 cells is seeded as in ``_fd_singular_value``, by the
+    value on b = max(c//8, 64) cells (a ``rough`` one at 64); above
+    c = 64 the gridpoints solve is seeded by the law through the b- and
+    c-cell values, and the 2*gridpoints solve always by the law through the
+    c-cell and gridpoints values.  At gridpoints = 2048 on the benchmark
+    lattice the 2048-cell guess is within 1e-6 relative of the result and
+    the 4096-cell guess within about 1e-9, so the Newton polish of each
+    mostly stops after one pass.  A guess saves only Sturm counts: the
+    returned value does not depend on it.
     """
     if gridpoints < 64:
         raise InvalidParamsError(f"gridpoints must be >= 64, got {gridpoints}")
     seed_grid = gridpoints // 8
-    seed = _fd_singular_value(params, seed_grid, 1)
-    coarse = _fd_first_singular_value(params, gridpoints, seed)
     ratio = gridpoints / seed_grid
-    guess = coarse - 0.75 * (seed - coarse) / (ratio * ratio - 1.0)
-    fine = _fd_first_singular_value(params, 2 * gridpoints, guess)
+    if seed_grid > 64:
+        rough_grid = max(seed_grid // 8, 64)
+        rough = _fd_singular_value(params, rough_grid, 1, rough=rough_grid == 64)
+        seed = _fd_singular_value(params, seed_grid, 1, guess=rough)
+        guess = _h2_law(rough, seed, seed_grid / rough_grid, ratio)
+    else:
+        seed = guess = _fd_singular_value(params, seed_grid, 1)
+    coarse = _fd_first_singular_value(params, gridpoints, guess)
+    fine = _fd_first_singular_value(params, 2 * gridpoints, _h2_law(seed, coarse, ratio, 2.0))
     return (4.0 * (fine * fine) - coarse * coarse) / 3.0
+

@@ -316,6 +316,39 @@ class TestHeatBlockMarch:
         self.check_against_reference([p.t for p in out], [p.values for p in out],
                                      phi0.values, grid.h, nm1_tk, controls, True)
 
+    # 16 cells give fewer rows than a block has steps, so the responses there
+    # reach the first row and the band columns beyond the grid from every row
+    @pytest.mark.parametrize("cells", [16, 200, 512])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_zero_neumann_data_is_bitwise_no_data(self, cells, fixed):
+        traj = integrate_phi(self.PARAMS, self.SIGMA, cells)
+        grid = Grid1D(self.PARAMS.half_diameter, cells)
+        phi0 = Profile(grid=grid, t=0.0, values=traj.phi)
+        dt = 0.3 * grid.h**2
+        controls = StepControls(output_times=self.output_times(dt),
+                                fixed_dt=dt if fixed else None)
+        zero = dataclasses.replace(controls, right_flux=lambda _t: 0.0)
+        free = evolve(Flux.heat(), self.PARAMS, phi0, 0.25, controls)
+        forced = evolve(Flux.heat(), self.PARAMS, phi0, 0.25, zero)
+        assert [p.t for p in forced] == [p.t for p in free]
+        for a, b in zip(forced, free):
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_zero_neumann_data_is_bitwise_no_data_on_radial_flow(self, fixed):
+        half = integrate_phi(self.PARAMS, self.SIGMA, 32)
+        u0 = np.concatenate([-half.phi[:0:-1], half.phi])
+        dt = 0.3 * (self.PARAMS.diameter / 64) ** 2
+        controls = StepControls(output_times=self.output_times(dt),
+                                fixed_dt=dt if fixed else None)
+        zero = dataclasses.replace(controls, right_flux=lambda _t: 0.0)
+        metric = WarpedMetric(self.PARAMS, 1.0)
+        free = radial_flow(metric, Flux.heat(), u0, 0.25, controls)
+        forced = radial_flow(metric, Flux.heat(), u0, 0.25, zero)
+        assert forced.times == free.times
+        for a, b in zip(forced.profiles, free.profiles):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("rows", [17, 65, 257, 513])
     @pytest.mark.parametrize("pivot", [True, False])
     def test_block_increment_is_the_row_major_power(self, rows, pivot):

@@ -396,6 +396,27 @@ class TestFdBracket:
             # 64 (rough) -> 256 -> 2048 -> 4096 cells: no 512-cell seed of its own
             assert lengths == {128, 512, 4096, 8192}
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_2048_cell_solve_starts_from_the_h2_law(self, monkeypatch, seed):
+        # the 64- and 256-cell values predict the 2048-cell one; the 256-cell
+        # value alone, the guess of a 2048-cell solve run by itself, is 3e-6
+        # to 2e-4 off on this lattice
+        newton = specgap.sturm._newton_singular_value
+        guesses = []
+
+        def spy(c2, x):
+            if len(c2) == 2 * 2048:
+                guesses.append(x)
+            return newton(c2, x)
+
+        monkeypatch.setattr(specgap.sturm, "_newton_singular_value", spy)
+        for params in spectrum_lattice(seed):
+            guesses.clear()
+            sl_fd_oracle_extrapolated(params, 2048)
+            (guess,) = guesses
+            value = reference_singular_value(params, 2048, 1)
+            assert abs(guess - value) <= 2e-6 * value
+
     def test_widened_bracket_at_40000_cells(self, monkeypatch):
         points = self.fine_counts(monkeypatch, 40000)
         got = _fd_singular_value(self.PARAMS, 40000, 1)

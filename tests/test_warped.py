@@ -9,7 +9,9 @@ from specgap import (
     InvalidParamsError,
     ModelParams,
     Profile,
+    RadialSolution,
     StepControls,
+    ViolationReport,
     WarpedMetric,
     default_warp_amplitude,
     evolve,
@@ -41,6 +43,27 @@ def shared_dt(flux: Flux, phi0: Profile, cfl: float = 0.3) -> float:
     q = np.gradient(phi0.values, phi0.grid.h)
     amax = max(flux_eval(flux, float(qi))[0] for qi in q)
     return cfl * phi0.grid.h**2 / max(1.0, amax)
+
+
+def reference_verify_moc(solution, phi_series, tol):
+    """The two-point check one output time and one lag at a time."""
+    m_u = len(solution.nodes) - 1
+    violations = 0
+    worst = -math.inf
+    defect = 0.0
+    pairs = 0
+    center = m_u // 2
+    for u, prof in zip(solution.profiles, phi_series):
+        phi = prof.values
+        for lag in range(1, m_u + 1):
+            margins = np.abs(u[lag:] - u[:-lag]) - 2.0 * phi[lag]
+            worst = max(worst, float(np.max(margins)))
+            violations += int(np.sum(margins > tol))
+            pairs += len(margins)
+        ant = np.abs((u[center + 1 :] - u[center - 1 :: -1]) - 2.0 * phi[2 : m_u + 1 : 2])
+        defect = max(defect, float(np.max(ant)))
+    return ViolationReport(violations=violations, worst_margin=worst, antipodal_defect=defect,
+                           pairs_checked=pairs, times_checked=len(phi_series))
 
 
 def matched_evolutions(n, kappa, diameter, flux, cells, times):
@@ -240,6 +263,38 @@ class TestVerifyMoc:
             verify_moc(sol, coarse, 1e-3)
         with pytest.raises(InvalidParamsError):
             verify_moc(sol, [], 1e-3)
+
+    @pytest.mark.parametrize("cells", [64, 256])
+    @pytest.mark.parametrize("outputs", [3, 5])
+    def test_stacked_check_is_the_per_output_loop(self, cells, outputs):
+        # seeded radial data against moduli too small for some of its pairs
+        rng = np.random.default_rng(cells + outputs)
+        nodes = np.linspace(-1.0, 1.0, cells + 1)
+        times = [0.1 * (k + 1) for k in range(outputs)]
+        profiles = [np.cumsum(rng.uniform(-0.5, 1.5, cells + 1)) / cells for _ in times]
+        grid = Grid1D(1.0, cells)
+        phis = []
+        for t in times:
+            values = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 0.5, cells))]) / cells
+            phis.append(Profile(grid=grid, t=t, values=values))
+        sol = RadialSolution(nodes=nodes, times=times, profiles=profiles)
+        for tol in (0.0, 0.5 / cells):
+            expected = reference_verify_moc(sol, phis, tol)
+            assert 0 < expected.violations < expected.pairs_checked
+            assert verify_moc(sol, phis, tol) == expected
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_radial_profile_rejected(self, value):
+        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
+        sol.profiles[1][5] = value
+        with pytest.raises(InvalidParamsError, match="finite"):
+            verify_moc(sol, phis, 1e-3)
+
+    def test_radial_profile_of_wrong_length_rejected(self):
+        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
+        sol.profiles[1] = sol.profiles[1][:-1]
+        with pytest.raises(InvalidParamsError, match="one value per node"):
+            verify_moc(sol, phis, 1e-3)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tol_rejected(self, tol):
