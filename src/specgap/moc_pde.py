@@ -317,11 +317,11 @@ def _march(
     is always genuine scheme output, and every stamp is a Python float; a
     recorded state that is not finite raises :class:`NonConvergenceError`.
 
-    A step allocates nothing.  The state alternates between two
-    ghost-extended buffers: a step reads the current one and writes into the
-    other, and its stencil rows (q, lap), coefficient rows (beta, alpha) and
-    update are written into arrays made before the first step.  Every output
-    is a copy, so no two outputs share memory with each other or with u0.
+    The state is one ghost-extended buffer, updated in place, and the step's
+    stencil rows (q, lap), coefficient rows (beta, alpha) and increment are
+    written into arrays made before the first step.  Only a step that reaches
+    an output time allocates: an output may snap to the state before it, so
+    it copies that state.  No output shares memory with another or with u0.
     The step's constants (2, eps^2, p - 1 and dt) enter it as 0-d float64
     arrays and its stencil scales as full rows, which spares numpy a Python
     scalar's dtype resolution and a broadcast on every call; the power keeps
@@ -370,11 +370,8 @@ def _march(
 
     pending = deque(targets)
     outputs: list[tuple[float, np.ndarray]] = []
-    # (buffer, interior, right, left) views of the two state buffers
-    buffers = np.empty((2, len(u0) + 2))
-    cur, nxt = [(b, b[1:-1], b[2:], b[:-2]) for b in buffers]
-    u = cur[1]
-    u[:] = u0
+    ue = np.concatenate(([0.0], u0, [0.0]))  # the state between its two ghosts
+    u, right, left = ue[1:-1], ue[2:], ue[:-2]
     while pending and pending[0] <= 0.0:
         pending.popleft()
         outputs.append((0.0, u.copy()))
@@ -428,7 +425,9 @@ def _march(
         pm1 = np.array(flux.p - 1.0)
         coefficients = np.empty((2, len(u0)))
         mp, alpha = coefficients
+        argmax = alpha.argmax
 
+    subtract, multiply, add = np.subtract, np.multiply, np.add
     two_h = 2.0 * h
     t = 0.0
     k = 0
@@ -437,21 +436,21 @@ def _march(
     check_at = 1 if dt is None else _MAX_STEPS + 1
     dt_checked = 0.0  # no dt yet: the first check only records one
     stepping = False  # heat: stepping singly until the next output is recorded
+    next_t = pending[0]  # the next output time
     # a blown-up state is refused at the next output; numpy's overflow
     # warnings on the way there say nothing more, nor does 0 ** negative
     # (alpha = inf, refused below)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while pending:
-            ue, u, right, left = cur
             if heat and not stepping:
                 if fixed:
                     times = ((k + np.arange(_BLOCK + 1)) * dt).tolist()
                 else:
                     increments[0] = t
                     times = np.add.accumulate(increments).tolist()
-                stepping = pending[0] <= times[-1]
+                stepping = next_t <= times[-1]
                 if not stepping:
-                    np.subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
+                    subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
                     if forced:
                         neumann[:] = [gr(s) for s in times[:-1]]
                     u += np.vecdot(increment, windows, out=q)
@@ -460,18 +459,18 @@ def _march(
                     continue
             ue[0] = -u[1] if odd_pivot else u[1]
             ue[-1] = u[-2] + two_h * gr(t)
-            np.subtract(right, left, q)
-            np.multiply(u, two, lap)
-            np.subtract(right, lap, lap)
+            subtract(right, left, q)
+            multiply(u, two, lap)
+            subtract(right, lap, lap)
             lap += left
             ql *= scale
             if not heat:
-                np.multiply(q, q, mp)
+                multiply(q, q, mp)
                 mp += eps2
                 mp **= exponent
-                np.multiply(mp, pm1, alpha)
+                multiply(mp, pm1, alpha)
                 # argmax returns the first NaN, which the test below refuses
-                max_alpha = float(alpha[alpha.argmax()])
+                max_alpha = float(alpha[argmax()])
                 if not max_alpha <= _MAX_ALPHA:
                     raise CFLViolationError(
                         "max flux coefficient %g exceeds the stability bound %g at t = %g"
@@ -488,25 +487,26 @@ def _march(
                     _step_size(controls, cfl_h2 / max_alpha, t)  # raises
                 ql *= coefficients
             t_new = (k + 1) * dt if fixed else t + dt
-            # u_new = u + dt*(lap - nm1_tk*q), written over q
-            np.multiply(nm1_tk, q, q)
-            np.subtract(lap, q, q)
+            # u += dt*(lap - nm1_tk*q), the increment written over q
+            multiply(nm1_tk, q, q)
+            subtract(lap, q, q)
             q *= step
-            u_new = nxt[1]
-            np.add(u, q, u_new)
+            # an output may snap to the state before the step: keep a copy
+            prior = (t, u.copy()) if t_new >= next_t else None
+            add(u, q, u)
             if odd_pivot:
-                u_new[0] = 0.0
-            stepping = pending[0] > t_new
-            while pending and t_new >= pending[0]:
-                target = pending.popleft()
-                stamp, values = (t, u) if abs(t - target) <= abs(t_new - target) else (t_new, u_new)
-                if not np.isfinite(values).all():
-                    raise NonConvergenceError(
-                        "the explicit scheme blew up: the state at t = %g is not finite "
-                        "(refine the grid or lower cfl)" % stamp
-                    )
-                outputs.append((stamp, values.copy()))
-            cur, nxt = nxt, cur
+                u[0] = 0.0
+            if prior is not None:
+                while pending and t_new >= pending[0]:
+                    target = pending.popleft()
+                    stamp, values = prior if abs(t - target) <= abs(t_new - target) else (t_new, u)
+                    if not np.isfinite(values).all():
+                        raise NonConvergenceError(
+                            "the explicit scheme blew up: the state at t = %g is not finite "
+                            "(refine the grid or lower cfl)" % stamp
+                        )
+                    outputs.append((stamp, values.copy()))
+                stepping, next_t = False, pending[0] if pending else math.inf
             t = t_new
             k += 1
             if k >= check_at and pending:

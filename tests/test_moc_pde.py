@@ -459,6 +459,61 @@ class TestPLaplacianMarch:
         self.assert_bitwise(got_times, got_values, ref)
 
 
+class TestPreStepSnapshot:
+    """Outputs that snap back to the state before their step, against the per-step loop."""
+
+    PARAMS = ModelParams(3, -1.0, 2.0)
+    SIGMA = 0.9 * MU_3_M1_2
+    # (k, f): the target t_k + f*(t_(k+1) - t_k), reached by step k + 1.  f = 0.3
+    # snaps back to t_k, the state before that step, and f = 0.7 on to t_(k+1).
+    # Steps 6 to 10 each reach an output, step 6 a duplicate before it and one
+    # after it; every gap is under one heat block, so heat steps singly.
+    OFFSETS = [(5, 0.3), (5, 0.3), (5, 0.7), (6, 0.7), (7, 0.3), (8, 0.3), (9, 0.7), (40, 0.3)]
+    LAST = 60
+
+    def step_times(self, flux, u0, h, nm1_tk, controls, pivot, dt0):
+        """t_0 .. t_LAST of the per-step loop: targets dt0/8 apart snap to every step."""
+        dense = dataclasses.replace(controls, output_times=dt0 / 8.0 * np.arange(16 * self.LAST))
+        ref = reference_march(flux, self.PARAMS.diameter, u0, h, nm1_tk, None, dense, pivot)
+        times = sorted({t for t, _ in ref})
+        assert len(times) > self.LAST
+        return times[: self.LAST + 1]
+
+    @pytest.mark.parametrize("flux", [Flux.heat(), Flux.plaplacian(3.0), Flux.plaplacian(1.5, 0.1)],
+                             ids=["heat", "plap:3", "plap:1.5:0.1"])
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
+    def test_snapped_outputs_match_per_step_loop(self, flux, fixed, route):
+        if route == "evolve":
+            traj = integrate_phi(self.PARAMS, self.SIGMA, 32)
+            u0 = traj.phi
+            grid = Grid1D(self.PARAMS.half_diameter, 32)
+            h, nodes = grid.h, grid.nodes
+        else:
+            half = integrate_phi(self.PARAMS, self.SIGMA, 32)
+            u0 = np.concatenate([-half.phi[:0:-1], half.phi])
+            h = self.PARAMS.diameter / 64
+            nodes = -self.PARAMS.half_diameter + np.arange(65) * h
+        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, nodes)
+        alpha0 = max(flux_eval(flux, float(q))[0] for q in np.gradient(u0, h))
+        base = StepControls(fixed_dt=0.2 * h * h / alpha0 if fixed else None)
+        dt0 = base.fixed_dt or base.cfl * h * h / alpha0  # about the first step
+        t = self.step_times(flux, u0, h, nm1_tk, base, route == "evolve", dt0)
+        targets = [t[k] + f * (t[k + 1] - t[k]) for k, f in self.OFFSETS] + [t[self.LAST]]
+        controls = dataclasses.replace(base, output_times=targets)
+        if route == "evolve":
+            out = evolve(flux, self.PARAMS, Profile(grid=grid, t=0.0, values=u0), t[-1], controls)
+            got_times, got_values = [p.t for p in out], [p.values for p in out]
+        else:
+            sol = radial_flow(WarpedMetric(self.PARAMS, 1.0), flux, u0, t[-1], controls)
+            got_times, got_values = sol.times, sol.profiles
+        ref = reference_march(flux, self.PARAMS.diameter, u0, h, nm1_tk, t[-1], controls,
+                              route == "evolve")
+        TestPLaplacianMarch.assert_bitwise(got_times, got_values, ref)
+        expected = [t[k] if f < 0.5 else t[k + 1] for k, f in self.OFFSETS] + [t[self.LAST]]
+        assert got_times == expected
+
+
 class TestFixedDtRefusedMidRun:
     """A fixed dt that the growing flux outruns after t = 0 is refused at that step."""
 
@@ -529,7 +584,7 @@ class TestStampsAreFloats:
 
 
 class TestOutputsAreCopies:
-    """The state alternates between two buffers; every output is its own array."""
+    """The state is one buffer updated in place; every output is its own array."""
 
     PARAMS = ModelParams(3, -1.0, 2.0)
     FLUXES = [Flux.heat(), Flux.plaplacian(3.0)]
@@ -549,9 +604,10 @@ class TestOutputsAreCopies:
 
     @staticmethod
     def output_times(dt):
-        # t = 0 twice, a duplicate, outputs on consecutive steps, and a gap
-        # of several heat blocks
-        return [0.0, 0.0, 5 * dt, 5 * dt, 6 * dt, 7 * dt, 300 * dt]
+        # t = 0 twice, a duplicate, outputs on consecutive steps, an off-grid
+        # duplicate that snaps back to the state before its step, and a gap of
+        # several heat blocks
+        return [0.0, 0.0, 5 * dt, 5 * dt, 6 * dt, 7 * dt, 7.3 * dt, 7.3 * dt, 300 * dt]
 
     def run(self, route, flux, u0, controls, t_end):
         if route == "evolve":
