@@ -218,14 +218,30 @@ def _heat_step_band(h: float, nm1_tk: np.ndarray, dt: float, odd_pivot: bool) ->
     return band
 
 
-def _block_increment(band: np.ndarray, steps: int) -> np.ndarray:
-    """M^steps - I for a tridiagonal M (steps >= 2), in band storage.
+def _with_register(band: np.ndarray, weight: float, steps: int) -> np.ndarray:
+    """``band`` followed by a shift register of ``steps`` Neumann data entries.
+
+    Each step feeds the register's first entry to the last grid row with the
+    ghost's ``weight`` and, by rows (0, 0, 1), moves the rest one entry on.
+    """
+    band = np.concatenate((band, np.tile((0.0, 0.0, 1.0), (steps, 1))))
+    band[-steps - 1, 2] = weight
+    return band
+
+
+def _block_increment(band: np.ndarray, steps: int, grid: int | None = None) -> np.ndarray:
+    """M^steps - I for a tridiagonal M (steps >= 2) in band storage, its first ``grid`` rows.
 
     Row i holds the entries of columns i - steps .. i + steps, zero where a
-    column falls outside the grid; M^steps has half-bandwidth steps, so the
-    band holds it exactly.  Each row of M sums to 1, so the diagonal is set to
-    minus the sum of the other entries: the rows of the increment then sum to
-    0 to rounding of one sum, not to the rounding of steps products.
+    column falls outside the band; M^steps has half-bandwidth steps, so the
+    band holds it exactly.  Rows beyond ``grid`` (default: none) may hold
+    ``_with_register``'s shift register.  No register row reaches the grid,
+    so the grid block of the power is the grid's own M^steps, and register
+    entry j's column holds its response M^(steps-1-j)(weight e_end).  Each
+    grid row of M sums to 1 over the grid, so the diagonal is set to minus
+    the sum of the other entries there (masked on the last min(steps, grid)
+    rows, the only ones reaching beyond it): the rows of the increment then
+    sum to 0 to rounding of one sum, not to the rounding of steps products.
 
     The powers are built diagonal-major.  Diagonal c (column offset c - steps)
     of a power P is one contiguous line of a flat buffer, with a zero pad
@@ -236,10 +252,11 @@ def _block_increment(band: np.ndarray, steps: int) -> np.ndarray:
     buffer, one line minus one entry apart.  Power j writes only its 2j + 1
     live diagonals, and the zero coefficients at the pads keep the pads zero.
     Each entry is the same three products summed in the same order as in the
-    row-major recurrence, so the band is bitwise the same; it is transposed
-    to rows once, at the end, where the diagonal is set.
+    row-major recurrence, so the band is bitwise the same; its first ``grid``
+    rows are transposed to rows once, at the end, where the diagonal is set.
     """
     rows = len(band)
+    grid = rows if grid is None else grid
     width = 2 * steps + 1
     line = rows + 2  # one padded diagonal
     # the (sub, diag, super) coefficients of each row, zero at the pads
@@ -259,40 +276,14 @@ def _block_increment(band: np.ndarray, steps: int) -> np.ndarray:
         out += np.multiply(diag, cur[start:stop].reshape(-1, line), out=t)
         out += np.multiply(sup, cur[start - line + 1 : stop - line + 1].reshape(-1, line), out=t)
         cur, nxt = nxt, cur
-    power = np.ascontiguousarray(cur.reshape(width + 2, line)[1:-1, 1:-1].T)
+    power = np.ascontiguousarray(cur.reshape(width + 2, line)[1:-1, 1 : grid + 1].T)
     power[:, steps] = 0.0
-    power[:, steps] = -power.sum(axis=1)
+    # row grid - 1 - r has the grid's own columns up to band column steps + r
+    tail = min(steps, grid)
+    own = np.arange(width) < steps + np.arange(tail, 0, -1)[:, None]
+    sums = power[:-tail].sum(axis=1), (power[-tail:] * own).sum(axis=1)
+    power[:, steps] = -np.concatenate(sums)
     return power
-
-
-def _forcing_responses(band: np.ndarray, weight: float, increment: np.ndarray) -> None:
-    """Write the block's responses to the Neumann data into ``increment``'s pad columns.
-
-    Data g_j at step j < steps enters the last row as weight*g_j, and the
-    remaining steps - 1 - j steps carry it on as the column
-    M^(steps-1-j) (weight e_end), which reaches the last steps - j rows.  Row
-    m - r of the band (m the last row) holds columns m - r - steps ..
-    m - r + steps, so its window of the zero-padded state sees entry j of the
-    right pad at band column steps + r + 1 + j, for exactly the j <= steps -
-    1 - r whose response reaches it.  Response j is written there: a block
-    whose right pad holds g(t_k .. t_(k+steps-1)) then adds the forcing in
-    the same dot product as the increment.  The columns beyond the grid are
-    zero before, so ``increment`` keeps its values on the grid.
-    """
-    steps = increment.shape[1] // 2
-    rows = min(steps, len(band))
-    part = band[-rows:]
-    x = np.zeros(rows)
-    x[-1] = weight
-    responses = np.empty((rows, steps))
-    for j in range(steps - 1, -1, -1):
-        responses[:, j] = x
-        y = part[:, 1] * x
-        y[1:] += part[1:, 0] * x[:-1]
-        y[:-1] += part[:-1, 2] * x[1:]
-        x = y
-    r, j = np.nonzero(np.add.outer(np.arange(rows), np.arange(steps)) < steps)
-    increment[-1 - r, steps + 1 + r + j] = responses[-1 - r, j]
 
 
 def _march(
@@ -348,15 +339,15 @@ def _march(
     one banded product.  It adds (M^_BLOCK - I)(u - u[0]) to u in place,
     which is exact on constant data, plus the forcing responses times
     g(t_k .. t_(k+_BLOCK-1)).  The band of M^_BLOCK - I is built once
-    (``_block_increment``), with the forcing responses of a run with Neumann
-    data written into its columns beyond the grid (``_forcing_responses``).
-    Each block multiplies the band row by row into windows of u - u[0],
-    padded with zeros on the left and, on the right, with the block's Neumann
-    data (zeros in an unforced run), using ``np.vecdot``: one BLAS dot per
-    row applies the increment and the forcing together.  Block times
-    accumulate exactly as single steps accumulate them, so every time stamp
-    equals that of the per-step loop and the values agree with it to
-    roundoff.
+    (``_block_increment``); a run with Neumann data builds it with the right
+    pad as a shift register of that data (``_with_register``), so the one
+    power holds the forcing responses in its columns beyond the grid.  Each
+    block multiplies the band row by row into windows of u - u[0], padded
+    with zeros on the left and, on the right, with the block's Neumann data
+    (zeros in an unforced run), using ``np.vecdot``: one BLAS dot per row
+    applies the increment and the forcing together.  Block times accumulate
+    exactly as single steps accumulate them, so every time stamp equals that
+    of the per-step loop and the values agree with it to roundoff.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise InvalidParamsError(f"t_end must be positive, got {t_end}")
@@ -407,10 +398,10 @@ def _march(
     step = np.array(0.0 if dt is None else dt)  # dt, rewritten by adaptive steps
     if heat:
         band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
-        increment = _block_increment(band, _BLOCK)
         forced = controls.right_flux is not None
         if forced:
-            _forcing_responses(band, dt * (2.0 / h - nm1_tk[-1]), increment)
+            band = _with_register(band, dt * (2.0 / h - nm1_tk[-1]), _BLOCK)
+        increment = _block_increment(band, _BLOCK, len(u0))
         # u - u[0] between two pads; a forced block's Neumann data in the right one
         padded = np.zeros(len(u0) + 2 * _BLOCK)
         neumann = padded[-_BLOCK:]

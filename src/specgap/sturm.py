@@ -230,13 +230,14 @@ def _bisect_level(
     the bracket at least halves in every three trials.
 
     A ``hint`` (lo, hi) should have lo pass and hi fail; no hint means the
-    hint (0, a curvature-scaled guess).  Every sigma <= 0 passes without a
-    shot, so lo is clamped to 0 and sigma = 0 costs nothing.  An end that
-    fails its test becomes the other end, and one outward search moves the
-    bracket until it holds the eigenvalue: each new end lies one step beyond
-    the old one, and the step starts at the hint's width and doubles after
-    each use.  Unhinted, the search tries guess, 2*guess, 4*guess, ...  Down
-    it stops at sigma = 0; up it raises NonConvergenceError at _SIGMA_CAP.
+    hint (0, a curvature-scaled guess capped at _SIGMA_CAP).  Every
+    sigma <= 0 passes without a shot, so lo is clamped to 0 and sigma = 0
+    costs nothing.  An end that fails its test becomes the other end, and
+    one outward search moves the bracket until it holds the eigenvalue:
+    each new end lies one step beyond the old one, and the step starts at
+    the hint's width and doubles after each use.  Unhinted, the search
+    tries guess, 2*guess, 4*guess, ...  Down it stops at sigma = 0; up it
+    raises NonConvergenceError at _SIGMA_CAP.
     """
     nm1, h, tks = _shooting_grid(params, steps)
     sign = -1.0 if mode % 2 else 1.0
@@ -253,7 +254,9 @@ def _bisect_level(
         return count <= mode, sign * end
 
     if hint is None:
-        guess = params.n * max(params.kappa, 0.0) + 4.0 * (math.pi / params.diameter) ** 2
+        # a product, not a power: at a tiny diameter it overflows to inf, not an error
+        scale = math.pi / params.diameter
+        guess = min(params.n * max(params.kappa, 0.0) + 4.0 * scale * scale, _SIGMA_CAP)
         hint = (0.0, max(1.0, guess))
     lo = max(0.0, hint[0])
     hi = max(lo, hint[1])

@@ -49,6 +49,14 @@ class TestEigenCommand:
         assert out == ""
         assert "Bonnet-Myers" in err
 
+    def test_tiny_diameter_exits_3(self, capsys):
+        # the unhinted guess (pi/D)^2 overflows here: the cap keeps the error typed
+        code, out, err = run_cli(capsys, "eigen", "--diameter", "1e-300")
+        assert code == 3
+        assert out == ""
+        assert err == ("error: solver did not converge: phi' kept at most 0 sign changes "
+                       "up to sigma = 1e+12; input is ill-posed\n")
+
     def test_determinism(self, capsys):
         _, out_a, _ = run_cli(capsys, "eigen", "--n", "5", "--kappa", "-0.5", "--diameter", "2")
         _, out_b, _ = run_cli(capsys, "eigen", "--n", "5", "--kappa", "-0.5", "--diameter", "2")
@@ -230,6 +238,15 @@ class TestVerifyMocCommand:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "t_end = 10000" in proc.stderr and "12907784339" in proc.stderr
+
+    def test_fast_diffusion_without_eps_exits_2(self, capsys):
+        # its automatic eps would put alpha near 5000 at the Neumann ends,
+        # far above the initial-gradient estimate behind the shared fixed dt
+        code, out, err = run_cli(capsys, "verify-moc", "--flux", "plap:1.5", "--grid", "32")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid parameters:") and "plap:P:EPS" in err
+        assert "fixed_dt" not in err
 
     @pytest.mark.parametrize("flux, dt", [("heat", "0.000292969"), ("plap:3", "5.12004e-05")])
     def test_t_end_shorter_than_a_step_names_the_flag(self, capsys, flux, dt):

@@ -103,6 +103,32 @@ def reference_block_increment(band, steps):
     return power
 
 
+def reference_forcing_responses(band, weight, increment):
+    """Write the responses to right-end Neumann data into ``increment``'s columns beyond the grid.
+
+    Data g_j at step j < steps enters the last row as weight*g_j, and the
+    remaining steps - 1 - j steps carry it on as the column
+    M^(steps-1-j) (weight e_end), which reaches the last steps - j rows.  Row
+    m - r (m the last row) sees entry j of the right pad at band column
+    steps + r + 1 + j, for exactly the j <= steps - 1 - r whose response
+    reaches it.
+    """
+    steps = increment.shape[1] // 2
+    rows = min(steps, len(band))
+    part = band[-rows:]
+    x = np.zeros(rows)
+    x[-1] = weight
+    responses = np.empty((rows, steps))
+    for j in range(steps - 1, -1, -1):
+        responses[:, j] = x
+        y = part[:, 1] * x
+        y[1:] += part[1:, 0] * x[:-1]
+        y[:-1] += part[:-1, 2] * x[1:]
+        x = y
+    r, j = np.nonzero(np.add.outer(np.arange(rows), np.arange(steps)) < steps)
+    increment[-1 - r, steps + 1 + r + j] = responses[-1 - r, j]
+
+
 def sine_profile(diameter: float, m: int) -> Profile:
     grid = Grid1D(diameter / 2.0, m)
     return Profile(grid=grid, t=0.0, values=np.sin(grid.nodes))
@@ -365,6 +391,34 @@ class TestHeatBlockMarch:
             for steps in (2, 3, 64):
                 assert np.array_equal(specgap.moc_pde._block_increment(band, steps),
                                       reference_block_increment(band, steps))
+
+    # 17 rows are fewer than a block has steps: every row reaches beyond the grid
+    @pytest.mark.parametrize("rows", [17, 65, 513])
+    @pytest.mark.parametrize("pivot", [True, False])
+    def test_neumann_register_gives_the_forcing_responses(self, rows, pivot):
+        steps = 64
+        beyond = np.add.outer(np.arange(rows), np.arange(2 * steps + 1)) >= rows + steps
+        for kappa in (-1.0, 0.0, 0.5):
+            params = ModelParams(3, kappa, 2.0)
+            if pivot:
+                h = params.half_diameter / (rows - 1)
+                nodes = np.arange(rows) * h
+            else:
+                h = params.diameter / (rows - 1)
+                nodes = -params.half_diameter + np.arange(rows) * h
+            nm1_tk = (params.n - 1) * tk_array(kappa, nodes)
+            dt = 0.4 * h * h
+            weight = dt * (2.0 / h - nm1_tk[-1])
+            band = specgap.moc_pde._heat_step_band(h, nm1_tk, dt, pivot)
+            unforced = specgap.moc_pde._block_increment(band, steps)
+            forced = specgap.moc_pde._block_increment(
+                specgap.moc_pde._with_register(band, weight, steps), steps, rows)
+            responses = unforced.copy()
+            reference_forcing_responses(band, weight, responses)
+            assert forced.shape == unforced.shape
+            assert np.array_equal(forced[~beyond], unforced[~beyond])
+            assert np.array_equal(forced[beyond], responses[beyond])
+            assert np.count_nonzero(responses[beyond]) > 0
 
     def test_fixed_dt_above_the_bound_raises(self):
         phi0 = sine_profile(2.0, 32)

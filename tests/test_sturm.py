@@ -622,6 +622,12 @@ class TestIllinoisLevel:
             with pytest.raises(NonConvergenceError, match="ill-posed"):
                 _bisect_level(params, 1e-9 / 8, 256, hint, 2)
 
+    @pytest.mark.parametrize("diameter", [1e-300, 1e-200, 1e-160])
+    def test_tiny_diameter_raises_ill_posed(self, diameter):
+        # (pi/D)^2 overflows below D ~ 1.8e-154; the guess is capped instead
+        with pytest.raises(NonConvergenceError, match="up to sigma = 1e\\+12; input is ill-posed"):
+            first_eigenvalue(ModelParams(3, 0.0, diameter), 1e-9)
+
     def test_unhinted_level_needs_a_third_of_the_bisection_trials(self):
         # plain bisection spends 36-53 trials here; Illinois halving is worth
         # about a fifth of what remains
