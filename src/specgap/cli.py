@@ -259,11 +259,6 @@ def cmd_decay(args):
 def cmd_verify_moc(args):
     params = _params_from(args)
     flux = parse_flux(args.flux)
-    if flux.p < 2.0 and flux.epsilon is None:
-        # the default eps = 1e-8*osc/D puts alpha ~ eps^(p-2) at the Neumann ends'
-        # zero gradient, which the fixed dt's estimate below never sees
-        raise InvalidParamsError("verify-moc needs --flux plap:P:EPS for p < 2: the default "
-                                 "eps makes a stable shared dt take millions of steps")
     t_end = args.t_end if args.t_end is not None else 0.4
     cells = args.grid
     phi0 = _default_modulus(params, cells, args.seed)

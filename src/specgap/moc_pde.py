@@ -31,7 +31,7 @@ from .model import (
 )
 from .specialfn import tk_array
 
-# Regularization scale used when a p-Laplacian flux carries epsilon = None:
+# Regularization scale used when a p > 2 flux carries epsilon = None:
 # epsilon = _AUTO_EPS_SCALE * osc(initial data) / diameter.
 _AUTO_EPS_SCALE = 1e-8
 
@@ -55,10 +55,10 @@ class Flux:
 
     ``epsilon`` regularizes the gradient magnitude as
     m = sqrt(q^2 + epsilon^2) and must lie in [0, inf).  ``epsilon=None``
-    requests the documented default (relative to the evolved data) when used
-    in an evolution; direct coefficient evaluation treats ``None`` as the
-    unregularized pair.  A p = 2 flux stores ``epsilon=None``, since
-    alpha = beta = 1 there for every epsilon.
+    requests the documented default (relative to the evolved data) when a
+    p > 2 flux is evolved, and is refused for p < 2 there; direct coefficient
+    evaluation treats ``None`` as the unregularized pair.  A p = 2 flux
+    stores ``epsilon=None``, since alpha = beta = 1 there for every epsilon.
     """
 
     p: float = 2.0
@@ -164,7 +164,8 @@ class StepControls:
     zero Neumann data on a full interval.  A flux coefficient alpha above 1e8
     raises :class:`CFLViolationError` whatever the controls, as does, before
     the first step, a grid whose cell Peclet number h*max|(n-1)*tk|/(2*(p-1))
-    exceeds 1.
+    exceeds 1; a p < 2 flux without epsilon raises :class:`InvalidParamsError`
+    then (exit 2 on every command that marches).
     Output times snap to the nearest step.  An evolution whose state at an
     output is not finite raises :class:`NonConvergenceError`, as does one
     needing more than 2^26 steps: a run with a known dt (heat, or
@@ -302,11 +303,15 @@ def _march(
     stencil, with dt = cfl*h^2/max(alpha) or ``fixed_dt`` checked against
     that bound.  The left ghost is the odd reflection -u[1] on the pivot and
     the plain reflection u[1] otherwise; the right ghost carries the Neumann
-    data ``right_flux``.  A p-Laplacian flux with epsilon = None is regularized by
-    _AUTO_EPS_SCALE * osc(u0) / diameter.  Requested output times are snapped
-    to the nearest completed step rather than interpolated, so recorded state
-    is always genuine scheme output, and every stamp is a Python float; a
-    recorded state that is not finite raises :class:`NonConvergenceError`.
+    data ``right_flux``.  A p > 2 flux with epsilon = None is regularized by
+    _AUTO_EPS_SCALE * osc(u0) / diameter.  A p < 2 one raises
+    :class:`InvalidParamsError` before the first step (exit 2 on every command
+    that marches): that epsilon puts alpha = (p-1)*eps^(p-2) at the Neumann
+    end's zero gradient, so the march would take millions of steps.
+    Requested output times are snapped to the nearest completed step rather
+    than interpolated, so recorded state is always genuine scheme output, and
+    every stamp is a Python float; a recorded state that is not finite raises
+    :class:`NonConvergenceError`.
 
     The state is one ghost-extended buffer, updated in place, and the step's
     stencil rows (q, lap), coefficient rows (beta, alpha) and increment are
@@ -351,6 +356,9 @@ def _march(
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise InvalidParamsError(f"t_end must be positive, got {t_end}")
+    if flux.p < 2.0 and flux.epsilon is None:
+        raise InvalidParamsError("a p < 2 flux needs an explicit epsilon (flux spec "
+                                 "plap:P:EPS): the default one takes millions of steps")
     targets = list(controls.output_times) if controls.output_times is not None else [t_end]
     if any(not math.isfinite(x) or x < 0 for x in targets):
         raise InvalidParamsError("output times must be finite and nonnegative")

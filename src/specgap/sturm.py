@@ -23,15 +23,15 @@ Two independent routes to the same number:
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-count bisection on the zero-diagonal
-  Golub-Kahan tridiagonal of its bidiagonal factor.  Newton on the same
-  recurrence, stopped at a step of at most 1e-7 relative and started from
-  the value on an 8x coarser grid (or, for the two finest solves of the
-  extrapolated oracle, from the h^2-law extrapolation of the two solves
-  below each), locates a narrow bracket that two Sturm counts prove; the
-  bisection then skips the counts outside it.  Every bisection decision,
-  and so every returned value, is bit for bit that of the plain bisection.
-  Serves as a cross-check oracle for the shooting route and never reads its
-  result.
+  Golub-Kahan tridiagonal of its bidiagonal factor.  Every solve is a rung
+  of one ladder (``_fd_ladder``) of grids g/8 (above 64 cells), g, 2g, ...:
+  the first rung above 64 cells starts from a rough 64-cell value, and each
+  later one from the h^2-law extrapolation of the two values below it.
+  Newton on the same recurrence polishes that guess into a narrow bracket
+  that two Sturm counts prove; the bisection then skips the counts outside
+  it.  Every bisection decision, and so every returned value, is bit for
+  bit that of the plain bisection.  Serves as a cross-check oracle for the
+  shooting route and never reads its result.
 
 The two forms agree because ``(ck^(n-1))'/ck^(n-1) = -(n-1)*tk``.
 ``seeded_odd_initial_data`` builds generic evolution data from the shooting
@@ -460,10 +460,10 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
     q_i' = -1 + c2_i*q_(i-1)'/q_(i-1)^2, and det'/det = sum q_i'/q_i; the pass
     carries 1/q_i, so each entry costs one division.  Stops once a step is at
     most 1e-7*x (convergence is quadratic, so the error left is of the order
-    of that step squared), or after 6 steps; NaN on a zero pivot.  From the
-    h^2-law seeds of ``sl_fd_oracle_extrapolated``'s two finest solves,
-    within about 1e-6 relative, one pass mostly meets that stop.  The result
-    is only a guess: two Sturm counts prove any bracket built on it.
+    of that step squared), or after 6 steps; NaN on a zero pivot.  From
+    ``_fd_ladder``'s h^2-law guesses, within about 1e-6 relative, one pass
+    mostly meets that stop.  The result is only a guess: two Sturm counts
+    prove any bracket built on it.
     """
     try:
         for _ in range(6):
@@ -485,12 +485,8 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
     return x
 
 
-def _fd_singular_value(
-    params: ModelParams,
-    gridpoints: int,
-    index: int,
-    rough: bool = False,
-    guess: float | None = None,
+def _fd_solve(
+    params: ModelParams, gridpoints: int, index: int, guess: float | None, rough: bool = False
 ) -> float:
     """index-th smallest singular value (1-based) of the bidiagonal factor.
 
@@ -499,29 +495,19 @@ def _fd_singular_value(
     sigma_k < x exactly when the Sturm count reaches gridpoints + 1 + k.
 
     The bisection from [0, 2*max c] to a relative width of 1e-14 decides
-    every midpoint by that count.  Newton polishes ``guess`` into x, to a
-    last step of at most 1e-7*x; without a guess, above 64 cells, the guess
-    is the same index's value on an 8x coarser grid (at least 64 cells), as
-    in the coarsest solve of ``sl_fd_oracle_extrapolated``, whose two finer
-    solves are seeded by the h^2-law extrapolation of the two values below
-    each.
-    [x - w, x + w] is accepted only when
-    count(x - w) < want <= count(x + w), with w = 4e-14*x widened 4x up to
-    three times.  The count is monotone in x, so a midpoint at or below
-    x - w is a "below" and one at or above x + w an "above" without a count:
-    every decision, and the returned value, is bit for bit that of the plain
-    bisection, which runs alone when the guess cannot be verified.  The
-    64-cell value that seeds the coarser chain is only a guess, so it is
-    computed ``rough``: its bisection stops once lo > 0 and
-    hi - lo <= 1e-6*lo, and Newton polishes it.
+    every midpoint by that count.  Newton polishes ``guess`` into x, and
+    [x - w, x + w] is accepted only when count(x - w) < want <= count(x + w),
+    with w = 4e-14*x widened 4x up to three times.  The count is monotone in
+    x, so a midpoint at or below x - w is a "below" and one at or above
+    x + w an "above" without a count: every decision, and the returned
+    value, is bit for bit that of the plain bisection, which runs alone
+    without a guess or one that cannot be verified.  A ``rough`` solve, only
+    ever a guess, stops once lo > 0 and hi - lo <= 1e-6*lo.
     """
     c = _fd_flux_factor(params, gridpoints)
     c2 = (c * c).tolist()
     want = gridpoints + 1 + index
     below, above = -math.inf, math.inf  # count(below) < want <= count(above)
-    if guess is None and gridpoints > 64:
-        coarse = max(gridpoints // 8, 64)
-        guess = _fd_singular_value(params, coarse, index, rough=coarse == 64)
     if guess is not None:
         x = _newton_singular_value(c2, guess)
         if 0.0 < x < math.inf:
@@ -544,6 +530,55 @@ def _fd_singular_value(
     return 0.5 * (lo + hi)
 
 
+def _h2_law(s_c: float, s_g: float, r: float, k: float) -> float:
+    """The value on k*g cells from those on c and g = r*c cells.
+
+    The discrete singular value follows the h^2 error law
+    s_g = s + C/g^2 + O(g^-4) (Paine, de Hoog & Anderssen, Computing 26,
+    1981), so s_(k*g) = s_g - (1 - 1/k^2)*(s_c - s_g)/(r^2 - 1).
+    """
+    return s_g - (1.0 - 1.0 / (k * k)) * (s_c - s_g) / (r * r - 1.0)
+
+
+def _fd_ladder(params: ModelParams, gridpoints: int, index: int, rungs: int) -> list[float]:
+    """The index-th singular value on gridpoints*2^k cells, for k < ``rungs``.
+
+    The solves climb one ladder: gridpoints//8 cells when that is above 64,
+    then the requested grids.  The first rung above 64 cells is seeded by a
+    ``rough`` 64-cell value (a ladder that starts at 64 cells solves that
+    rung unseeded), and each later rung by ``_h2_law`` through the two
+    values below it: at gridpoints = 2048 on the benchmark lattice the guess
+    is within 1e-6 relative at 2048 cells and about 1e-9 at 4096.  A guess
+    saves only Sturm counts, and no value depends on it.  A value whose
+    square is not finite and positive raises NonConvergenceError.
+    """
+    if gridpoints < 64:
+        raise InvalidParamsError(f"gridpoints must be >= 64, got {gridpoints}")
+    cells = [gridpoints * 2**k for k in range(rungs)]
+    if gridpoints // 8 > 64:
+        cells.insert(0, gridpoints // 8)
+    values = []
+    if cells[0] > 64:
+        cells.insert(0, 64)
+        values.append(_fd_solve(params, 64, index, None, rough=True))
+    for k in range(len(values), len(cells)):
+        guess = values[0] if k == 1 else None
+        if k > 1:
+            r, step = cells[k - 1] / cells[k - 2], cells[k] / cells[k - 1]
+            guess = _h2_law(values[k - 2], values[k - 1], r, step)
+        value = _fd_solve(params, cells[k], index, guess)
+        square = value * value
+        if not (square > 0.0 and math.isfinite(square)):
+            raise NonConvergenceError("FD oracle value %r is not finite and positive" % square)
+        values.append(value)
+    return values[-rungs:]
+
+
+def _fd_singular_value(params: ModelParams, gridpoints: int, index: int) -> float:
+    """index-th smallest singular value (1-based) on gridpoints cells: a one-rung ladder."""
+    return _fd_ladder(params, gridpoints, index, 1)[0]
+
+
 def sl_fd_oracle(params: ModelParams, gridpoints: int) -> float:
     """Finite-difference eigenvalue oracle, independent of the shooting route.
 
@@ -552,57 +587,16 @@ def sl_fd_oracle(params: ModelParams, gridpoints: int) -> float:
     smallest is zero on constants by construction, and is excluded here as
     the structural null space of the bidiagonal factorization).
     """
-    sigma = _fd_first_singular_value(params, gridpoints)
+    sigma = _fd_singular_value(params, gridpoints, 1)
     return sigma * sigma
-
-
-def _fd_first_singular_value(
-    params: ModelParams, gridpoints: int, guess: float | None = None
-) -> float:
-    """The singular value whose square is ``sl_fd_oracle``'s value, checked."""
-    if gridpoints < 64:
-        raise InvalidParamsError(f"gridpoints must be >= 64, got {gridpoints}")
-    sigma = _fd_singular_value(params, gridpoints, 1, guess=guess)
-    value = sigma * sigma
-    if not (value > 0.0 and math.isfinite(value)):
-        raise NonConvergenceError("FD oracle value %r is not finite and positive" % value)
-    return sigma
-
-
-def _h2_law(s_c: float, s_g: float, r: float, k: float) -> float:
-    """The value on k*g cells from those on c and g = r*c cells, by s_g = s + C/g^2."""
-    return s_g - (1.0 - 1.0 / (k * k)) * (s_c - s_g) / (r * r - 1.0)
 
 
 def sl_fd_oracle_extrapolated(params: ModelParams, gridpoints: int) -> float:
     """Richardson extrapolation cancelling the second-order error term.
 
-    The discrete singular value follows the h^2 error law
-    s_g = s + C/g^2 + O(g^-4) (Paine, de Hoog & Anderssen, Computing 26,
-    1981), so two values s_c, s_g with g = r*c predict the one on k*g cells as
-    s_g - (1 - 1/k^2)*(s_c - s_g)/(r^2 - 1) (``_h2_law``).  The solve on
-    c = gridpoints//8 cells is seeded as in ``_fd_singular_value``, by the
-    value on b = max(c//8, 64) cells (a ``rough`` one at 64); above
-    c = 64 the gridpoints solve is seeded by the law through the b- and
-    c-cell values, and the 2*gridpoints solve always by the law through the
-    c-cell and gridpoints values.  At gridpoints = 2048 on the benchmark
-    lattice the 2048-cell guess is within 1e-6 relative of the result and
-    the 4096-cell guess within about 1e-9, so the Newton polish of each
-    mostly stops after one pass.  A guess saves only Sturm counts: the
-    returned value does not depend on it.
+    Under the h^2 law of ``_h2_law`` the squares of the values on gridpoints
+    and 2*gridpoints cells, from one two-rung ``_fd_ladder``, combine as
+    (4*s_2g^2 - s_g^2)/3.
     """
-    if gridpoints < 64:
-        raise InvalidParamsError(f"gridpoints must be >= 64, got {gridpoints}")
-    seed_grid = gridpoints // 8
-    ratio = gridpoints / seed_grid
-    if seed_grid > 64:
-        rough_grid = max(seed_grid // 8, 64)
-        rough = _fd_singular_value(params, rough_grid, 1, rough=rough_grid == 64)
-        seed = _fd_singular_value(params, seed_grid, 1, guess=rough)
-        guess = _h2_law(rough, seed, seed_grid / rough_grid, ratio)
-    else:
-        seed = guess = _fd_singular_value(params, seed_grid, 1)
-    coarse = _fd_first_singular_value(params, gridpoints, guess)
-    fine = _fd_first_singular_value(params, 2 * gridpoints, _h2_law(seed, coarse, ratio, 2.0))
+    coarse, fine = _fd_ladder(params, gridpoints, 1, 2)
     return (4.0 * (fine * fine) - coarse * coarse) / 3.0
-

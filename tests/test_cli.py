@@ -159,6 +159,19 @@ class TestEvolveCommand:
         assert len(lines) == 1 + 9 * 33
 
 
+    def test_fast_diffusion_without_eps_exits_2(self):
+        # the automatic eps puts alpha = (p-1)*eps^(p-2) at the Neumann end's zero
+        # gradient: unrefused, this march takes seconds on 32 cells and exits 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "specgap.cli", "evolve", "--flux", "plap:1.5",
+             "--t-end", "0.01", "--grid", "32"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "plap:P:EPS" in proc.stderr
+
+
 class TestDecayCommand:
     def test_rate_matches_eigenvalue(self, capsys):
         code, out, _ = run_cli(capsys, "decay", "--n", "2", "--kappa", "-1", "--diameter", PI,

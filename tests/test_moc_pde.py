@@ -837,6 +837,13 @@ class TestEvolvePLaplacian:
         with pytest.raises(CFLViolationError):
             evolve(Flux.plaplacian(1.5, 0.0), params, phi0, t_end=0.1)
 
+    def test_fast_diffusion_without_eps_is_refused_before_stepping(self, monkeypatch):
+        params = ModelParams(2, 0.0, 2.0)
+        phi0 = sine_profile(2.0, 32)
+        monkeypatch.setattr(specgap.moc_pde, "_step_size", None)  # any step would fail
+        with pytest.raises(InvalidParamsError, match="plap:P:EPS"):
+            evolve(Flux.plaplacian(1.5), params, phi0, t_end=0.01)
+
     def test_infinite_alpha_at_an_interior_node_is_refused(self):
         # a flat interior plateau has zero gradient; the forced right end does not
         params = ModelParams(2, 0.0, 2.0)

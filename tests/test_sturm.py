@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -265,6 +266,20 @@ class TestFdOracle:
         else:
             assert math.isfinite(val) and val > 0.0
 
+    def test_large_diameter_extrapolation_needs_no_coarser_grid(self):
+        # on 8 cells at D = 800, cosh(50) - sinh(50) rounds to 0: a seed solve
+        # there has zero fluxes and its bisection never ends
+        code = (
+            "from specgap import ModelParams, NonConvergenceError, sl_fd_oracle_extrapolated\n"
+            "try:\n"
+            "    sl_fd_oracle_extrapolated(ModelParams(3, -1.0, 800.0), 64)\n"
+            "except NonConvergenceError:\n"
+            "    print('refused')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=20)
+        assert proc.stdout == "refused\n"
+
     def test_exponentially_small_values(self):
         # reference values computed from the weights w = ck^(n-1) directly
         val = sl_fd_oracle_extrapolated(ModelParams(10, -1.0, 20.0), 256)
@@ -383,7 +398,14 @@ class TestFdBracket:
         # 1e-6 relative is about 20 halvings past lo > 0; 1e-14 is about 47
         assert guess_counts < 30 < len(points)
 
-    def test_fine_solve_is_seeded_by_the_coarse_one(self, monkeypatch):
+    @pytest.mark.parametrize("gridpoints", [2048, 64, 256])
+    def test_fine_solve_is_seeded_by_the_coarse_one(self, monkeypatch, gridpoints):
+        # every ladder stays at or above 64 cells (c2 holds two entries per cell)
+        expected = {
+            2048: {128, 512, 4096, 8192},  # 64 (rough) -> 256 -> 2048 -> 4096 cells
+            64: {128, 256},  # 64 -> 128: no 8-cell seed
+            256: {128, 512, 1024},  # 64 (rough) -> 256 -> 512: no 32-cell seed
+        }[gridpoints]
         for params in (self.PARAMS, *self.FIXED[:2]):
             lengths = set()
 
@@ -392,15 +414,13 @@ class TestFdBracket:
                 return _sv_count(c2, x)
 
             monkeypatch.setattr(specgap.sturm, "_sv_count", spy)
-            sl_fd_oracle_extrapolated(params, 2048)
-            # 64 (rough) -> 256 -> 2048 -> 4096 cells: no 512-cell seed of its own
-            assert lengths == {128, 512, 4096, 8192}
+            sl_fd_oracle_extrapolated(params, gridpoints)
+            assert lengths == expected
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_2048_cell_solve_starts_from_the_h2_law(self, monkeypatch, seed):
         # the 64- and 256-cell values predict the 2048-cell one; the 256-cell
-        # value alone, the guess of a 2048-cell solve run by itself, is 3e-6
-        # to 2e-4 off on this lattice
+        # value alone is 3e-6 to 2e-4 off on this lattice
         newton = specgap.sturm._newton_singular_value
         guesses = []
 
@@ -416,6 +436,26 @@ class TestFdBracket:
             (guess,) = guesses
             value = reference_singular_value(params, 2048, 1)
             assert abs(guess - value) <= 2e-6 * value
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_standalone_4096_cell_solve_starts_from_the_h2_law(self, monkeypatch, seed):
+        # the 64- and 512-cell values predict the 4096-cell one; the 512-cell
+        # value alone is up to 4.2e-5 off on this lattice
+        newton = specgap.sturm._newton_singular_value
+        guesses = []
+
+        def spy(c2, x):
+            if len(c2) == 2 * 4096:
+                guesses.append(x)
+            return newton(c2, x)
+
+        monkeypatch.setattr(specgap.sturm, "_newton_singular_value", spy)
+        for params in spectrum_lattice(seed):
+            guesses.clear()
+            sl_fd_oracle(params, 4096)
+            (guess,) = guesses
+            value = reference_singular_value(params, 4096, 1)
+            assert abs(guess - value) <= 1e-6 * value
 
     def test_widened_bracket_at_40000_cells(self, monkeypatch):
         points = self.fine_counts(monkeypatch, 40000)

@@ -160,6 +160,13 @@ class TestWarpedMetric:
             radial_flow(WarpedMetric(params, 1.5), Flux.heat(), odd_sine_data(2.0, 64), 0.1)
 
 
+    def test_radial_flow_refuses_fast_diffusion_without_eps(self):
+        params = ModelParams(3, -1.0, 2.0)
+        metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
+        with pytest.raises(InvalidParamsError, match="plap:P:EPS"):
+            radial_flow(metric, Flux.plaplacian(1.5), odd_sine_data(2.0, 64), 0.01)
+
+
 class TestRadialFlow:
     def test_constant_data_is_stationary(self):
         params = ModelParams(3, -1.0, 2.0)
