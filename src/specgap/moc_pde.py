@@ -313,17 +313,22 @@ def _march(
     every stamp is a Python float; a recorded state that is not finite raises
     :class:`NonConvergenceError`.
 
-    The state is one ghost-extended buffer, updated in place, and the step's
-    stencil rows (q, lap), coefficient rows (beta, alpha) and increment are
-    written into arrays made before the first step.  Only a step that reaches
+    The state is one ghost-extended buffer, updated in place, and every step
+    writes into arrays made before the first step.  Only a step that reaches
     an output time allocates: an output may snap to the state before it, so
     it copies that state.  No output shares memory with another or with u0.
-    The step's constants (2, eps^2, p - 1 and dt) enter it as 0-d float64
-    arrays and its stencil scales as full rows, which spares numpy a Python
-    scalar's dtype resolution and a broadcast on every call; the power keeps
-    a Python float exponent, numpy's scalar-power path (0.5 is a square root).
-    max(alpha) is read at ``alpha.argmax()``, which returns the first NaN, so
-    a NaN or inf coefficient still meets the refusal below.
+    In difference form, with g the cell differences of the ghost-extended
+    state, a step adds dt*beta*(P*g[1:] - Q*g[:-1]), P = A - B, Q = A + B,
+    A = (p-1)/h^2 and B = nm1_tk/(2h); a dt known up front is folded into P
+    and Q.  The increment is exactly 0 on constant data.  On the p-Laplacian
+    flux beta = (q^2 + eps^2)^((p-2)/2) takes the centered
+    q = (u[i+1] - u[i-1])/(2h) on its physical scale: (2h)^(2-p) overflows
+    at p = 250.  eps^2, 1/(2h) and the adaptive dt enter as 0-d float64
+    arrays, which spares numpy a Python scalar's dtype resolution on every
+    call; the power keeps a Python float exponent, numpy's scalar-power path
+    (0.5 is a square root).  max(alpha) = (p-1)*max(beta) is read at
+    ``beta.argmax()``, which returns the first NaN, so a NaN or inf
+    coefficient still meets the refusal below.
 
     Before the first step, a grid whose cell Peclet number
     h*max|nm1_tk|/(2*(p-1)) (beta/alpha = 1/(p-1)) exceeds 1 raises
@@ -370,7 +375,7 @@ def _march(
     pending = deque(targets)
     outputs: list[tuple[float, np.ndarray]] = []
     ue = np.concatenate(([0.0], u0, [0.0]))  # the state between its two ghosts
-    u, right, left = ue[1:-1], ue[2:], ue[:-2]
+    u, upper, lower, right, left = ue[1:-1], ue[1:], ue[:-1], ue[2:], ue[:-2]
     while pending and pending[0] <= 0.0:
         pending.popleft()
         outputs.append((0.0, u.copy()))
@@ -386,7 +391,7 @@ def _march(
         )
     fixed = controls.fixed_dt is not None
     cfl_h2 = float(controls.cfl * h * h)  # so every dt and stamp is a Python float
-    gr = controls.right_flux or (lambda _t: 0.0)
+    gr = controls.right_flux
     # dt is known up front on the heat flux and whenever it is fixed
     dt = _step_size(controls, cfl_h2, 0.0) if heat else controls.fixed_dt
     if dt is not None:
@@ -396,18 +401,17 @@ def _march(
                 "t_end = %g at dt = %g needs %d explicit steps, over the budget of %d"
                 % (t_end, dt, steps_needed, _MAX_STEPS)
             )
-    # the stencil rows (q, lap) = (u', u''), and on the p-Laplacian flux the
-    # coefficient rows (mp, alpha) = (beta, alpha) that multiply them
-    ql = np.empty((2, len(u0)))
-    q, lap = ql
-    scale = np.empty_like(ql)
-    scale[0], scale[1] = 1.0 / (2.0 * h), 1.0 / (h * h)
-    two = np.array(2.0)
-    step = np.array(0.0 if dt is None else dt)  # dt, rewritten by adaptive steps
+    # the cell differences g, ghosts included: the forward and backward
+    # differences at the nodes, weighted by (ahead, behind) and dt when known
+    g = np.empty(len(u0) + 1)
+    backward, forward = g[:-1], g[1:]
+    lin, term, mp = np.empty((3, len(u0)))  # mp: q, then beta on the p-Laplacian flux
+    diffusion, drift = (flux.p - 1.0) / (h * h), nm1_tk / (2.0 * h)
+    dt_known = 1.0 if dt is None else dt  # an adaptive dt multiplies each step
+    ahead, behind = (diffusion - drift) * dt_known, (diffusion + drift) * dt_known
     if heat:
         band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
-        forced = controls.right_flux is not None
-        if forced:
+        if gr is not None:
             band = _with_register(band, dt * (2.0 / h - nm1_tk[-1]), _BLOCK)
         increment = _block_increment(band, _BLOCK, len(u0))
         # u - u[0] between two pads; a forced block's Neumann data in the right one
@@ -419,14 +423,12 @@ def _march(
         eps = flux.epsilon
         if eps is None:
             eps = _AUTO_EPS_SCALE * float(np.max(u0) - np.min(u0)) / diameter
-        eps2 = np.array(eps * eps)
-        exponent = 0.5 * (flux.p - 2.0)
-        pm1 = np.array(flux.p - 1.0)
-        coefficients = np.empty((2, len(u0)))
-        mp, alpha = coefficients
-        argmax = alpha.argmax
+        eps2, inv_2h = np.array(eps * eps), np.array(1.0 / (2.0 * h))
+        exponent, pm1 = 0.5 * (flux.p - 2.0), flux.p - 1.0
+        step = np.array(0.0)  # the adaptive dt
+        argmax = mp.argmax
 
-    subtract, multiply, add = np.subtract, np.multiply, np.add
+    subtract, multiply = np.subtract, np.multiply
     two_h = 2.0 * h
     t = 0.0
     k = 0
@@ -450,26 +452,23 @@ def _march(
                 stepping = next_t <= times[-1]
                 if not stepping:
                     subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
-                    if forced:
+                    if gr is not None:
                         neumann[:] = [gr(s) for s in times[:-1]]
-                    u += np.vecdot(increment, windows, out=q)
+                    u += np.vecdot(increment, windows, out=lin)
                     t = times[-1]
                     k += _BLOCK
                     continue
             ue[0] = -u[1] if odd_pivot else u[1]
-            ue[-1] = u[-2] + two_h * gr(t)
-            subtract(right, left, q)
-            multiply(u, two, lap)
-            subtract(right, lap, lap)
-            lap += left
-            ql *= scale
+            ue[-1] = u[-2] + two_h * gr(t) if gr is not None else u[-2]
+            subtract(upper, lower, g)
             if not heat:
-                multiply(q, q, mp)
+                subtract(right, left, mp)
+                mp *= inv_2h
+                multiply(mp, mp, mp)
                 mp += eps2
                 mp **= exponent
-                multiply(mp, pm1, alpha)
                 # argmax returns the first NaN, which the test below refuses
-                max_alpha = float(alpha[argmax()])
+                max_alpha = pm1 * float(mp[argmax()])
                 if not max_alpha <= _MAX_ALPHA:
                     raise CFLViolationError(
                         "max flux coefficient %g exceeds the stability bound %g at t = %g"
@@ -484,15 +483,16 @@ def _march(
                     step[()] = dt
                 elif dt > cfl_h2 / max_alpha * (1.0 + 1e-9):
                     _step_size(controls, cfl_h2 / max_alpha, t)  # raises
-                ql *= coefficients
             t_new = (k + 1) * dt if fixed else t + dt
-            # u += dt*(lap - nm1_tk*q), the increment written over q
-            multiply(nm1_tk, q, q)
-            subtract(lap, q, q)
-            q *= step
+            multiply(ahead, forward, lin)
+            lin -= multiply(behind, backward, term)
+            if not heat:
+                lin *= mp
+                if not fixed:
+                    lin *= step
             # an output may snap to the state before the step: keep a copy
             prior = (t, u.copy()) if t_new >= next_t else None
-            add(u, q, u)
+            u += lin
             if odd_pivot:
                 u[0] = 0.0
             if prior is not None:

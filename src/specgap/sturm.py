@@ -494,8 +494,9 @@ def _fd_solve(
     cell) has ``gridpoints`` negative eigenvalues and one zero below x, so
     sigma_k < x exactly when the Sturm count reaches gridpoints + 1 + k.
 
-    The bisection from [0, 2*max c] to a relative width of 1e-14 decides
-    every midpoint by that count.  Newton polishes ``guess`` into x, and
+    The bisection from [0, 2*max c] to a relative width of 1e-14, or until
+    lo and hi are adjacent floats, decides every midpoint by that count.
+    Newton polishes ``guess`` into x, and
     [x - w, x + w] is accepted only when count(x - w) < want <= count(x + w),
     with w = 4e-14*x widened 4x up to three times.  The count is monotone in
     x, so a midpoint at or below x - w is a "below" and one at or above
@@ -523,6 +524,8 @@ def _fd_solve(
         if rough and 0.0 < lo and hi - lo <= 1e-6 * lo:
             break
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: the bracket cannot shrink further
         if mid >= above or (mid > below and _sv_count(c2, mid) >= want):
             hi = mid
         else:

@@ -33,7 +33,71 @@ FLUX_IDS = ["plap:3", "plap:3:1e-3", "plap:1.5:0.1", "plap:4:1e-3"]
 
 
 def reference_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot, left_flux=None):
-    """The explicit scheme one step at a time, with snapped outputs.
+    """The explicit scheme one step at a time in difference form, with snapped outputs.
+
+    ``left_flux`` forces the left end of a full interval, which the stepper
+    itself reaches only by mirroring the interval.
+
+    With the cell differences g of the ghost-extended state, one step adds
+    (P*g[1:] - Q*g[:-1])*mp, where P = A - B, Q = A + B, A = (p-1)/h^2 and
+    B = nm1_tk/(2h), and dt multiplies P and Q when it is known up front
+    (heat, or a fixed dt) and the product otherwise.  Heat uses mp = 1; the
+    p-Laplacian uses mp = (q^2 + eps^2)^((p-2)/2) with the centered
+    q = (u[i+1] - u[i-1])/(2h), and eps = 1e-8 * osc(u0) / diameter when the
+    flux leaves it unset.  dt = cfl*h^2/max(alpha), alpha = (p-1)*mp, unless
+    it is fixed.  This is ``textbook_march`` with its arithmetic regrouped.
+    """
+    targets = list(controls.output_times) if controls.output_times is not None else [t_end]
+    gl = left_flux or (lambda _t: 0.0)
+    gr = controls.right_flux or (lambda _t: 0.0)
+    A, B = (flux.p - 1.0) / (h * h), nm1_tk / (2.0 * h)
+    P, Q = A - B, A + B
+    known_dt = flux.is_heat or controls.fixed_dt is not None
+    if known_dt:
+        dt = controls.fixed_dt if controls.fixed_dt is not None else controls.cfl * h * h
+        P, Q = P * dt, Q * dt
+    if not flux.is_heat:
+        eps = flux.epsilon
+        if eps is None:
+            eps = 1e-8 * float(np.max(u0) - np.min(u0)) / diameter
+    pending = deque(targets)
+    outputs = []
+    u = np.array(u0, dtype=float)
+    while pending and pending[0] <= 0.0:
+        pending.popleft()
+        outputs.append((0.0, u.copy()))
+    t, k = 0.0, 0
+    while pending:
+        ue = np.concatenate([[-u[1] if odd_pivot else u[1] - 2.0 * h * gl(t)], u,
+                             [u[-2] + 2.0 * h * gr(t)]])
+        g = ue[1:] - ue[:-1]
+        lin = P * g[1:] - Q * g[:-1]
+        if not flux.is_heat:
+            q = (ue[2:] - ue[:-2]) * (1.0 / (2.0 * h))
+            mp = (q * q + eps * eps) ** (0.5 * (flux.p - 2.0))
+            lin = lin * mp
+            if not known_dt:
+                dt = controls.cfl * h * h / ((flux.p - 1.0) * float(np.max(mp)))
+                lin = lin * dt
+        t_new = (k + 1) * dt if controls.fixed_dt is not None else t + dt
+        u_new = u + lin
+        if odd_pivot:
+            u_new[0] = 0.0
+        while pending and t_new >= pending[0]:
+            target = pending.popleft()
+            if abs(t - target) <= abs(t_new - target):
+                outputs.append((t, u.copy()))
+            else:
+                outputs.append((t_new, u_new.copy()))
+        u, t, k = u_new, t_new, k + 1
+    return outputs
+
+
+def textbook_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot, left_flux=None):
+    """The explicit scheme one step at a time in its textbook form, with snapped outputs.
+
+    One step is u + dt*(alpha*lap - nm1_tk*(mp*q)) with the centered
+    q = (u[i+1] - u[i-1])/(2h) and lap = (u[i+1] - 2u[i] + u[i-1])/h^2.
 
     ``left_flux`` forces the left end of a full interval, which the stepper
     itself reaches only by mirroring the interval.
@@ -512,6 +576,57 @@ class TestPLaplacianMarch:
                               route == "evolve")
         self.assert_bitwise(got_times, got_values, ref)
 
+    @staticmethod
+    def assert_textbook(got, u0, ref, fixed):
+        # a fixed dt stamps step k at k*dt; an adaptive dt follows max alpha,
+        # which moves with the state's roundoff
+        stamps, ref_stamps = [t for t, _ in got], [t for t, _ in ref]
+        assert stamps == (ref_stamps if fixed else pytest.approx(ref_stamps, rel=1e-12, abs=0))
+        osc = np.max(u0) - np.min(u0)
+        for (_, values), (_, ref_values) in zip(got, ref):
+            assert np.max(np.abs(values - ref_values)) <= 1e-12 * osc
+
+    @pytest.mark.parametrize("flux", FLUXES, ids=FLUX_IDS)
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("forcing", ["none", "right"])
+    @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
+    def test_difference_form_is_the_textbook_step(self, flux, fixed, forcing, route):
+        # the step regroups the textbook arithmetic: values to roundoff
+        if route == "evolve":
+            traj = integrate_phi(self.PARAMS, self.SIGMA, 32)
+            u0, slope = traj.phi, traj.dphi[-1]
+            h = self.PARAMS.half_diameter / 32
+            nodes = np.arange(33) * h
+        else:
+            half = integrate_phi(self.PARAMS, self.SIGMA, 32)
+            u0, slope = np.concatenate([-half.phi[:0:-1], half.phi]), half.dphi[-1]
+            h = self.PARAMS.diameter / 64
+            nodes = -self.PARAMS.half_diameter + np.arange(65) * h
+        controls = self.controls(flux, u0, h, slope, fixed, forcing)
+        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, nodes)
+        got = specgap.moc_pde._march(u0, h, nm1_tk, flux, self.PARAMS.diameter, self.T_END,
+                                     controls, route == "evolve")
+        ref = textbook_march(flux, self.PARAMS.diameter, u0, h, nm1_tk, self.T_END, controls,
+                             route == "evolve")
+        self.assert_textbook(got, u0, ref, fixed)
+
+    @pytest.mark.parametrize("cells", [64, 1024])
+    def test_p_250_keeps_the_gradient_on_its_physical_scale(self, cells):
+        # (2h)^(2-p) overflows a double here, so the step may not fold it
+        # into its weights; three adaptive steps on 64 cells, about 600 on 1024
+        flux = Flux.plaplacian(250.0)
+        grid = Grid1D(self.PARAMS.half_diameter, cells)
+        u0 = 0.6 * np.sin(grid.nodes)
+        t_end = 1e49
+        controls = StepControls(output_times=[t_end / 3, t_end])
+        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, grid.nodes)
+        got = specgap.moc_pde._march(u0, grid.h, nm1_tk, flux, self.PARAMS.diameter, t_end,
+                                     controls, True)
+        ref = textbook_march(flux, self.PARAMS.diameter, u0, grid.h, nm1_tk, t_end, controls,
+                             True)
+        assert got[0][0] > 0.0 and not np.array_equal(got[-1][1], u0)
+        self.assert_textbook(got, u0, ref, False)
+
 
 class TestPreStepSnapshot:
     """Outputs that snap back to the state before their step, against the per-step loop."""
@@ -700,16 +815,27 @@ class TestOutputsAreCopies:
 class TestBlowUp:
     """A march whose state stops being finite raises instead of returning it."""
 
-    # the drift is far inside the Peclet bound; data near the largest double
-    # overflows in the step's arithmetic (2*u, or u - u[0] on the full interval)
+    # the drift is far inside the Peclet bound; Neumann data near the largest
+    # double overflows the right ghost, and data near it overflows u - u[0]
+    # in a heat block on the full interval
     PARAMS = ModelParams(3, -1.0, 2.0)
     SCALE = 1e308
 
     def test_evolve_raises(self):
         grid = Grid1D(self.PARAMS.half_diameter, 16)
         phi0 = Profile(grid=grid, t=0.0, values=self.SCALE * np.sin(0.5 * math.pi * grid.nodes))
+        controls = StepControls(right_flux=lambda _t: self.SCALE / grid.h)
         with pytest.raises(NonConvergenceError, match="not finite"):
-            evolve(Flux.heat(), self.PARAMS, phi0, 0.01)
+            evolve(Flux.heat(), self.PARAMS, phi0, 0.01, controls)
+
+    def test_evolve_of_data_near_the_largest_double_stays_finite(self):
+        # the step takes differences of neighbours and never doubles u, and
+        # these seven steps stay within single steps, never a heat block
+        grid = Grid1D(self.PARAMS.half_diameter, 16)
+        phi0 = Profile(grid=grid, t=0.0, values=self.SCALE * np.sin(0.5 * math.pi * grid.nodes))
+        (out,) = evolve(Flux.heat(), self.PARAMS, phi0, 0.01)
+        assert out.t > 0.0
+        assert np.isfinite(out.values).all()
 
     def test_radial_flow_raises(self):
         u0 = self.SCALE * np.sin(0.5 * math.pi * np.linspace(-1.0, 1.0, 33))

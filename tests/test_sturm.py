@@ -280,6 +280,21 @@ class TestFdOracle:
                               timeout=20)
         assert proc.stdout == "refused\n"
 
+    def test_value_below_the_smallest_subnormal_is_refused(self):
+        # at D = 2000 the singular value underflows: the bisection reaches
+        # lo = 0 and a hi whose midpoint rounds back to lo, and must stop there
+        code = (
+            "from specgap import ModelParams, NonConvergenceError, sl_fd_oracle\n"
+            "for cells in (64, 256):\n"
+            "    try:\n"
+            "        sl_fd_oracle(ModelParams(3, -1.0, 2000.0), cells)\n"
+            "    except NonConvergenceError as exc:\n"
+            "        print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10)
+        assert proc.stdout.count("not finite and positive") == 2
+
     def test_exponentially_small_values(self):
         # reference values computed from the weights w = ck^(n-1) directly
         val = sl_fd_oracle_extrapolated(ModelParams(10, -1.0, 20.0), 256)
