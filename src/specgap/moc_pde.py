@@ -303,11 +303,14 @@ def _march(
     stencil, with dt = cfl*h^2/max(alpha) or ``fixed_dt`` checked against
     that bound.  The left ghost is the odd reflection -u[1] on the pivot and
     the plain reflection u[1] otherwise; the right ghost carries the Neumann
-    data ``right_flux``.  A p > 2 flux with epsilon = None is regularized by
-    _AUTO_EPS_SCALE * osc(u0) / diameter.  A p < 2 one raises
-    :class:`InvalidParamsError` before the first step (exit 2 on every command
-    that marches): that epsilon puts alpha = (p-1)*eps^(p-2) at the Neumann
-    end's zero gradient, so the march would take millions of steps.
+    data ``right_flux``.  On the pivot tk = 0, so P = Q there, and u[0] = 0
+    gives g[0] = g[1] = u[1]: the pivot's increment is exactly 0, as row 0 of
+    the heat band is the identity row, and u[0] stays 0.  A p > 2 flux with
+    epsilon = None is regularized by _AUTO_EPS_SCALE * osc(u0) / diameter.
+    A p < 2 one raises :class:`InvalidParamsError` before the first step
+    (exit 2 on every command that marches): that epsilon puts
+    alpha = (p-1)*eps^(p-2) at the Neumann end's zero gradient, so the march
+    would take millions of steps.
     Requested output times are snapped to the nearest completed step rather
     than interpolated, so recorded state is always genuine scheme output, and
     every stamp is a Python float; a recorded state that is not finite raises
@@ -493,8 +496,6 @@ def _march(
             # an output may snap to the state before the step: keep a copy
             prior = (t, u.copy()) if t_new >= next_t else None
             u += lin
-            if odd_pivot:
-                u[0] = 0.0
             if prior is not None:
                 while pending and t_new >= pending[0]:
                     target = pending.popleft()

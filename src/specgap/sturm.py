@@ -27,10 +27,11 @@ Two independent routes to the same number:
   of one ladder (``_fd_ladder``) of grids g/8 (above 64 cells), g, 2g, ...:
   the first rung above 64 cells starts from a rough 64-cell value, and each
   later one from the h^2-law extrapolation of the two values below it.
-  Newton on the same recurrence polishes that guess into a narrow bracket
-  that two Sturm counts prove; the bisection then skips the counts outside
-  it.  Every bisection decision, and so every returned value, is bit for
-  bit that of the plain bisection.  Serves as a cross-check oracle for the
+  Newton on the same recurrence polishes that guess into a value that
+  decides every bisection midpoint, and two Sturm counts at the ends of the
+  final interval prove all of those decisions (the count is monotone).
+  Every bisection decision, and so every returned value, is bit for bit
+  that of the plain bisection.  Serves as a cross-check oracle for the
   shooting route and never reads its result.
 
 The two forms agree because ``(ck^(n-1))'/ck^(n-1) = -(n-1)*tk``.
@@ -494,42 +495,75 @@ def _fd_solve(
     cell) has ``gridpoints`` negative eigenvalues and one zero below x, so
     sigma_k < x exactly when the Sturm count reaches gridpoints + 1 + k.
 
-    The bisection from [0, 2*max c] to a relative width of 1e-14, or until
-    lo and hi are adjacent floats, decides every midpoint by that count.
-    Newton polishes ``guess`` into x, and
-    [x - w, x + w] is accepted only when count(x - w) < want <= count(x + w),
-    with w = 4e-14*x widened 4x up to three times.  The count is monotone in
-    x, so a midpoint at or below x - w is a "below" and one at or above
-    x + w an "above" without a count: every decision, and the returned
-    value, is bit for bit that of the plain bisection, which runs alone
-    without a guess or one that cannot be verified.  A ``rough`` solve, only
+    The bisection runs from [0, 2*max c] to a relative width of 1e-14, or
+    until lo and hi are adjacent floats.  A midpoint at or below a proved
+    "below" point, or at or above a proved "above" one, needs no count; every
+    count makes its point a proved one.  Newton polishes ``guess`` into x, and
+    while x is set it decides every other midpoint ("above" when above x).
+    The count is monotone in x, so counts at the two ends of the final
+    interval prove all of those decisions at once: every decision, and the
+    returned value, is then bit for bit that of the plain bisection.  A
+    failed end is itself proved, and the pass repeats with x moved onto it,
+    at most 4 times.  After that x is cleared, the bracket [x - w, x + w]
+    around its last place (w = 4e-14*x, widened 4x up to three times) adds
+    its proved points, and one last pass counts every undecided midpoint;
+    without a usable guess that pass runs alone.  A ``rough`` solve, only
     ever a guess, stops once lo > 0 and hi - lo <= 1e-6*lo.
     """
     c = _fd_flux_factor(params, gridpoints)
     c2 = (c * c).tolist()
     want = gridpoints + 1 + index
-    below, above = -math.inf, math.inf  # count(below) < want <= count(above)
-    if guess is not None:
-        x = _newton_singular_value(c2, guess)
-        if 0.0 < x < math.inf:
-            w = 4e-14 * x
+    top = 2.0 * float(np.max(c))
+    below, above = 0.0, top  # count(below) < want <= count(above) once either moves
+    x = math.nan if guess is None else _newton_singular_value(c2, guess)
+    if not 0.0 < x < math.inf:
+        x = None
+
+    def above_root(point: float) -> bool:
+        """Whether count(point) >= want: by a proved point, by x, or by a count."""
+        nonlocal below, above
+        if point >= above:
+            return True
+        if point <= below:
+            return False
+        if x is not None:
+            return point > x
+        if _sv_count(c2, point) >= want:
+            above = point
+            return True
+        below = point
+        return False
+
+    walks = 0
+    while True:
+        lo, hi = 0.0, top
+        while hi - lo > 1e-14 * hi:
+            if rough and 0.0 < lo and hi - lo <= 1e-6 * lo:
+                break
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # adjacent floats: the bracket cannot shrink further
+            if above_root(mid):
+                hi = mid
+            else:
+                lo = mid
+        if x is None:
+            break
+        x = None  # count the ends, which prove every decision taken on x's word
+        if above_root(lo):
+            x = lo
+        elif not above_root(hi):
+            x = hi
+        else:
+            break
+        walks += 1
+        if walks > 4:
+            center, x = x, None
+            w = 4e-14 * center
             for _ in range(4):
-                if _sv_count(c2, x - w) < want <= _sv_count(c2, x + w):
-                    below, above = x - w, x + w
+                if not above_root(center - w) and above_root(center + w):
                     break
                 w *= 4.0
-    lo = 0.0
-    hi = 2.0 * float(np.max(c))
-    while hi - lo > 1e-14 * hi:
-        if rough and 0.0 < lo and hi - lo <= 1e-6 * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats: the bracket cannot shrink further
-        if mid >= above or (mid > below and _sv_count(c2, mid) >= want):
-            hi = mid
-        else:
-            lo = mid
     return 0.5 * (lo + hi)
 
 

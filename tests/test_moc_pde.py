@@ -752,6 +752,34 @@ class TestStampsAreFloats:
         assert all(type(t) is float for t in stamps)
 
 
+class TestPivotStaysZero:
+    """The odd pivot's increment is exactly 0, so every output vanishes there."""
+
+    PARAMS = ModelParams(3, -1.0, 2.0)
+    SIGMA = 0.9 * MU_3_M1_2
+
+    @pytest.mark.parametrize("flux", [Flux.heat(), *FLUXES], ids=["heat", *FLUX_IDS])
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("forcing", ["none", "right"])
+    def test_every_output_is_zero_at_the_pivot(self, flux, fixed, forcing):
+        traj = integrate_phi(self.PARAMS, self.SIGMA, 32)
+        grid = Grid1D(self.PARAMS.half_diameter, 32)
+        alpha0 = max(flux_eval(flux, float(q))[0] for q in np.gradient(traj.phi, grid.h))
+        dt = 0.2 * grid.h**2 / alpha0
+        # outputs on single steps and, on the heat flux, after 64-step blocks
+        times = [0.0, 5 * dt, 6 * dt, 200 * dt, 400 * dt]
+        slope = traj.dphi[-1]
+        controls = StepControls(
+            output_times=times,
+            fixed_dt=dt if fixed else None,
+            right_flux=(lambda t: slope * math.exp(-self.SIGMA * t)) if forcing == "right" else None,
+        )
+        phi0 = Profile(grid=grid, t=0.0, values=traj.phi)
+        out = evolve(flux, self.PARAMS, phi0, times[-1], controls)
+        assert len(out) == len(times) and out[-1].t > 0.0
+        assert all(p.values[0] == 0.0 for p in out)
+
+
 class TestOutputsAreCopies:
     """The state is one buffer updated in place; every output is its own array."""
 

@@ -329,13 +329,23 @@ def spectrum_lattice(seed: int) -> list[ModelParams]:
     return module.spectrum_lattice(np.random.default_rng(seed))
 
 
-def proved_width(points: list[float]) -> float:
-    """Width of the first counted pair that every later count falls strictly inside."""
-    for i in range(len(points) - 1):
-        lo, hi = points[i], points[i + 1]
-        if lo < hi and all(lo < x < hi for x in points[i + 2 :]):
-            return hi - lo
-    return 0.0
+def walk(counts: list[tuple[float, bool]]) -> int:
+    """Length of the leading run of counts on the same side of the root as the first."""
+    side = counts[0][1]
+    return next((i for i, (_, above) in enumerate(counts) if above != side), len(counts))
+
+
+def undecided(counts: list[tuple[float, bool]]) -> bool:
+    """Whether every count falls strictly inside the bracket the counts before it prove."""
+    below, above = 0.0, math.inf
+    for x, is_above in counts:
+        if not below < x < above:
+            return False
+        if is_above:
+            above = x
+        else:
+            below = x
+    return True
 
 
 class TestFdBracket:
@@ -370,14 +380,15 @@ class TestFdBracket:
             if index == 1:
                 assert sl_fd_oracle(params, gridpoints) == reference * reference
 
-    def fine_counts(self, monkeypatch, gridpoints: int) -> list[float]:
-        """Points at which the oracle counts on the finest grid."""
+    def fine_counts(self, monkeypatch, gridpoints: int) -> list[tuple[float, bool]]:
+        """(x, sigma_1 < x) for each Sturm count on the finest grid."""
         points = []
 
         def spy(c2, x):
+            count = _sv_count(c2, x)
             if len(c2) == 2 * gridpoints:
-                points.append(x)
-            return _sv_count(c2, x)
+                points.append((x, count >= gridpoints + 2))
+            return count
 
         monkeypatch.setattr(specgap.sturm, "_sv_count", spy)
         return points
@@ -397,12 +408,43 @@ class TestFdBracket:
             self.PARAMS, 2048, 1
         )
         if guess == "one_width":
-            # the first bracket misses the root; a widened one is proved and used
-            assert proved_width(points) > 3e-13 * points[-1]
+            # the optimistic pass and its four walks, about one final interval
+            # (1e-14 relative) each, all end above the root; a bracket around
+            # the walk's end is then proved, and no count repeats a decision
+            assert walk(points) == 5
+            assert undecided(points)
             assert len(points) < 16
         else:
             # no bracket is proved: the plain bisection counts every midpoint
             assert len(points) > 40
+
+    @pytest.mark.parametrize(
+        "params",
+        [PARAMS, ModelParams(10, -1.0, 20.0), ModelParams(2, 0.0, 1e-3)],
+        ids=lambda p: "%g,%g,%g" % (p.n, p.kappa, p.diameter),
+    )
+    def test_wrong_newton_values_keep_the_value(self, monkeypatch, params):
+        # Newton's value off by up to 4e-14 (the walk), 1.3e-13 and 4e-13 (a
+        # widened bracket), 1e-9 and a factor of 3 (the counted pass), or not
+        # finite and positive (no walk); the lambda reads factor at each call
+        factors = [1.0 + k * 1e-14 for k in (-40, -13, -4, -1, 0, 1, 4, 13, 40)]
+        factors += [1.0 - 1e-9, 1.0 + 1e-9, 3.0, math.nan, math.inf, -1.0]
+        newton = specgap.sturm._newton_singular_value
+        factor = 1.0
+        monkeypatch.setattr(
+            specgap.sturm, "_newton_singular_value", lambda c2, x: factor * newton(c2, x)
+        )
+        for gridpoints in (256, 2048):
+            points = self.fine_counts(monkeypatch, gridpoints)
+            for index in (1, 3):
+                reference = reference_singular_value(params, gridpoints, index)
+                points.clear()
+                assert specgap.sturm._fd_solve(params, gridpoints, index, None) == reference
+                plain = len(points)  # without a guess every midpoint is counted
+                for factor in factors:
+                    points.clear()
+                    assert _fd_singular_value(params, gridpoints, index) == reference
+                    assert len(points) <= plain + 14, factor
 
     def test_only_the_guess_floor_stops_early(self, monkeypatch):
         points = self.fine_counts(monkeypatch, 64)
@@ -476,7 +518,13 @@ class TestFdBracket:
         points = self.fine_counts(monkeypatch, 40000)
         got = _fd_singular_value(self.PARAMS, 40000, 1)
         assert got == reference_singular_value(self.PARAMS, 40000, 1)
-        assert proved_width(points) > 3e-13 * got
+        # Newton's value is about 1.6e-13 low: both ends of the optimistic
+        # pass, the four walks and the upper end of the first bracket around
+        # the walk's end fall below the root; the 4x wider bracket proves it
+        first = walk(points)
+        assert first >= 6 and points[first][1]
+        assert points[first][0] - points[first - 1][0] > 8e-14 * got
+        assert undecided(points)
         assert len(points) < 16
 
 
@@ -908,5 +956,5 @@ class TestScalarKernels:
         # the h^2 seed; the coarse value that seeded this solve before was 2e-6 off
         assert len(guesses) == len(counts) == 9
         assert max(guesses) < 1e-8
-        assert sum(counts) <= 56
-        assert max(counts) <= 7
+        assert sum(counts) <= 32
+        assert max(counts) <= 5
