@@ -224,10 +224,10 @@ def cmd_decay(args):
     t_end = args.t_end if args.t_end is not None else 2.0 * 3.0 / mu
     times = [t_end * (k + 1) / _DECAY_SAMPLES for k in range(_DECAY_SAMPLES)]
     # a fit window spanning less than one explicit step can snap all of its
-    # samples to the same step
+    # samples to the same step; the march refuses a horizon that is not positive
     dt = args.cfl * (params.diameter / args.grid) ** 2
     fit_samples = int(round(_DECAY_WINDOW * _DECAY_SAMPLES))
-    if t_end * (fit_samples - 1) / _DECAY_SAMPLES < dt:
+    if 0 < t_end * (fit_samples - 1) / _DECAY_SAMPLES < dt:
         raise InvalidParamsError(
             "--t-end %g is too short: the fitted last %d of %d samples span less than "
             "one explicit step dt = cfl*(D/grid)^2 = %g; raise --t-end, or raise --grid "
@@ -270,7 +270,7 @@ def cmd_verify_moc(args):
     alpha_max = max(flux_eval(flux, float(q))[0] for q in grads)
     dt = 0.75 * args.cfl * phi0.grid.h**2 / max(1.0, alpha_max)
     times = [t_end * (k + 1) / 5.0 for k in range(5)]
-    if times[0] < dt:
+    if 0 < times[0] < dt:  # the march refuses a horizon that is not positive
         raise InvalidParamsError(
             "--t-end %g is too short: the first checked time t_end/5 comes before one "
             "explicit step dt = 0.75*cfl*(D/(2*grid))^2/max(1, alpha) = %g, so no evolved "

@@ -156,9 +156,11 @@ class StepControls:
     """Knobs for the explicit stepper.
 
     ``output_times`` defaults to the single final time.  ``fixed_dt`` forces a
-    constant step (validated against the stability bound every step), which
-    lets two evolutions on different grids share identical time stamps; it is
-    stored as a Python float.
+    constant step (validated against the stability bound every step); it is
+    stored as a Python float.  A run whose dt is known before its first step
+    (heat, or ``fixed_dt`` set) stamps step k at k*dt, so two evolutions on
+    different grids at one ``fixed_dt`` share identical time stamps; an
+    adaptive p-Laplacian run stamps the sum of its steps.
     ``right_flux`` prescribes time-dependent Neumann data at the right end
     (zero when omitted); the left end is the odd pivot on [0, D/2] and carries
     zero Neumann data on a full interval.  A flux coefficient alpha above 1e8
@@ -201,21 +203,18 @@ def _step_size(controls: StepControls, stable_dt: float, t: float) -> float:
     return controls.fixed_dt
 
 
-def _heat_step_band(h: float, nm1_tk: np.ndarray, dt: float, odd_pivot: bool) -> np.ndarray:
+def _heat_step_band(ahead: np.ndarray, behind: np.ndarray, odd_pivot: bool) -> np.ndarray:
     """One explicit heat step u -> M u, as the rows (sub, diag, super) of M.
 
-    The ghost reflections are folded into the end rows.  On the odd pivot
-    row 0 is the identity row, since u_0 stays 0 there, so every row of M
-    sums to 1.
+    Row i is the single step's u_i + ahead_i*(u_(i+1) - u_i)
+    - behind_i*(u_i - u_(i-1)), so every row of M sums to 1.  The ghost
+    reflections are folded into the end rows: u_(m-1) on the right, and u_1
+    on the left off the pivot.  On the odd pivot row 0 is the identity row,
+    since u_0 stays 0 there.
     """
-    a = dt / (h * h)
-    b = dt * nm1_tk / (2.0 * h)
-    band = np.empty((len(nm1_tk), 3))
-    band[:, 0] = a + b
-    band[:, 1] = 1.0 - 2.0 * a
-    band[:, 2] = a - b
-    band[0] = (0.0, 1.0, 0.0) if odd_pivot else (0.0, 1.0 - 2.0 * a, 2.0 * a)
-    band[-1] = (2.0 * a, 1.0 - 2.0 * a, 0.0)
+    band = np.stack((behind, 1.0 - (behind + ahead), ahead), axis=1)
+    band[0] = (0.0, 1.0, 0.0) if odd_pivot else (0.0, band[0, 1], ahead[0] + behind[0])
+    band[-1] = (ahead[-1] + behind[-1], band[-1, 1], 0.0)
     return band
 
 
@@ -347,20 +346,25 @@ def _march(
     _MAX_STEPS, and in any case once its step count passes _MAX_STEPS.  The
     test shares the one comparison per step with the step-count limit.
 
+    Clock: a run whose dt is known before the first step stamps step k at
+    k*dt, in blocks and single steps alike; only an adaptive p-Laplacian run
+    accumulates t + dt.
+
     On the heat flux alpha = beta = 1, so dt and the step matrix M are fixed:
-    while the next output lies beyond the next _BLOCK steps those steps are
-    one banded product.  It adds (M^_BLOCK - I)(u - u[0]) to u in place,
-    which is exact on constant data, plus the forcing responses times
-    g(t_k .. t_(k+_BLOCK-1)).  The band of M^_BLOCK - I is built once
+    M's rows hold the single step's weights (``_heat_step_band``), and the
+    right ghost's Neumann data enters with weight 2*h*ahead[-1].  While the
+    next output lies beyond step k + _BLOCK, the next _BLOCK steps are one
+    banded product.  It adds (M^_BLOCK - I)(u - u[0]) to u in place, which is
+    exact on constant data, plus the forcing responses times
+    g(k*dt .. (k+_BLOCK-1)*dt).  The band of M^_BLOCK - I is built once
     (``_block_increment``); a run with Neumann data builds it with the right
     pad as a shift register of that data (``_with_register``), so the one
     power holds the forcing responses in its columns beyond the grid.  Each
     block multiplies the band row by row into windows of u - u[0], padded
     with zeros on the left and, on the right, with the block's Neumann data
     (zeros in an unforced run), using ``np.vecdot``: one BLAS dot per row
-    applies the increment and the forcing together.  Block times accumulate
-    exactly as single steps accumulate them, so every time stamp equals that
-    of the per-step loop and the values agree with it to roundoff.
+    applies the increment and the forcing together.  Every time stamp equals
+    that of the per-step loop, and the values agree with it to roundoff.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise InvalidParamsError(f"t_end must be positive, got {t_end}")
@@ -392,12 +396,12 @@ def _march(
             "the cell Peclet number is %g, above 1: the drift (n-1)*tk outruns the "
             "diffusion on this grid (refine the grid)" % peclet
         )
-    fixed = controls.fixed_dt is not None
     cfl_h2 = float(controls.cfl * h * h)  # so every dt and stamp is a Python float
     gr = controls.right_flux
     # dt is known up front on the heat flux and whenever it is fixed
     dt = _step_size(controls, cfl_h2, 0.0) if heat else controls.fixed_dt
-    if dt is not None:
+    adaptive = dt is None
+    if not adaptive:
         steps_needed = math.ceil(pending[-1] / dt)
         if steps_needed > _MAX_STEPS:
             raise NonConvergenceError(
@@ -410,18 +414,17 @@ def _march(
     backward, forward = g[:-1], g[1:]
     lin, term, mp = np.empty((3, len(u0)))  # mp: q, then beta on the p-Laplacian flux
     diffusion, drift = (flux.p - 1.0) / (h * h), nm1_tk / (2.0 * h)
-    dt_known = 1.0 if dt is None else dt  # an adaptive dt multiplies each step
+    dt_known = 1.0 if adaptive else dt  # an adaptive dt multiplies each step
     ahead, behind = (diffusion - drift) * dt_known, (diffusion + drift) * dt_known
     if heat:
-        band = _heat_step_band(h, nm1_tk, dt, odd_pivot)
+        band = _heat_step_band(ahead, behind, odd_pivot)
         if gr is not None:
-            band = _with_register(band, dt * (2.0 / h - nm1_tk[-1]), _BLOCK)
+            band = _with_register(band, 2.0 * h * ahead[-1], _BLOCK)
         increment = _block_increment(band, _BLOCK, len(u0))
         # u - u[0] between two pads; a forced block's Neumann data in the right one
         padded = np.zeros(len(u0) + 2 * _BLOCK)
         neumann = padded[-_BLOCK:]
         windows = sliding_window_view(padded, 2 * _BLOCK + 1)
-        increments = np.full(_BLOCK + 1, dt)
     else:
         eps = flux.epsilon
         if eps is None:
@@ -437,30 +440,22 @@ def _march(
     k = 0
     # an adaptive run records its dt after the first step, then projects its
     # step count every _BUDGET_CHECK steps
-    check_at = 1 if dt is None else _MAX_STEPS + 1
+    check_at = 1 if adaptive else _MAX_STEPS + 1
     dt_checked = 0.0  # no dt yet: the first check only records one
-    stepping = False  # heat: stepping singly until the next output is recorded
     next_t = pending[0]  # the next output time
     # a blown-up state is refused at the next output; numpy's overflow
     # warnings on the way there say nothing more, nor does 0 ** negative
     # (alpha = inf, refused below)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while pending:
-            if heat and not stepping:
-                if fixed:
-                    times = ((k + np.arange(_BLOCK + 1)) * dt).tolist()
-                else:
-                    increments[0] = t
-                    times = np.add.accumulate(increments).tolist()
-                stepping = next_t <= times[-1]
-                if not stepping:
-                    subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
-                    if gr is not None:
-                        neumann[:] = [gr(s) for s in times[:-1]]
-                    u += np.vecdot(increment, windows, out=lin)
-                    t = times[-1]
-                    k += _BLOCK
-                    continue
+            if heat and next_t > (k + _BLOCK) * dt:
+                subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
+                if gr is not None:
+                    neumann[:] = [gr(s * dt) for s in range(k, k + _BLOCK)]
+                u += np.vecdot(increment, windows, out=lin)
+                k += _BLOCK
+                t = k * dt
+                continue
             ue[0] = -u[1] if odd_pivot else u[1]
             ue[-1] = u[-2] + two_h * gr(t) if gr is not None else u[-2]
             subtract(upper, lower, g)
@@ -481,17 +476,17 @@ def _march(
                     # fully degenerate flux: the data is stationary
                     outputs.extend((float(target), u.copy()) for target in pending)
                     break
-                if not fixed:
+                if adaptive:
                     dt = _step_size(controls, cfl_h2 / max_alpha, t)
                     step[()] = dt
                 elif dt > cfl_h2 / max_alpha * (1.0 + 1e-9):
                     _step_size(controls, cfl_h2 / max_alpha, t)  # raises
-            t_new = (k + 1) * dt if fixed else t + dt
+            t_new = t + dt if adaptive else (k + 1) * dt
             multiply(ahead, forward, lin)
             lin -= multiply(behind, backward, term)
             if not heat:
                 lin *= mp
-                if not fixed:
+                if adaptive:
                     lin *= step
             # an output may snap to the state before the step: keep a copy
             prior = (t, u.copy()) if t_new >= next_t else None
@@ -506,7 +501,7 @@ def _march(
                             "(refine the grid or lower cfl)" % stamp
                         )
                     outputs.append((stamp, values.copy()))
-                stepping, next_t = False, pending[0] if pending else math.inf
+                next_t = pending[0] if pending else math.inf
             t = t_new
             k += 1
             if k >= check_at and pending:

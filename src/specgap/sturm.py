@@ -459,12 +459,13 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
 
     One pass of the Sturm recurrence q_i = -x - c2_i/q_(i-1) also carries
     q_i' = -1 + c2_i*q_(i-1)'/q_(i-1)^2, and det'/det = sum q_i'/q_i; the pass
-    carries 1/q_i, so each entry costs one division.  Stops once a step is at
-    most 1e-7*x (convergence is quadratic, so the error left is of the order
-    of that step squared), or after 6 steps; NaN on a zero pivot.  From
-    ``_fd_ladder``'s h^2-law guesses, within about 1e-6 relative, one pass
-    mostly meets that stop.  The result is only a guess: two Sturm counts
-    prove any bracket built on it.
+    carries 1/q_i, so each entry costs one division.  Returns x once a step
+    is at most 1e-7*x (convergence is quadratic, so the error left is of the
+    order of that step squared); NaN when 6 steps do not meet that stop, or
+    on a zero pivot, so that no unconverged iterate poses as a singular
+    value.  From ``_fd_ladder``'s h^2-law guesses, within about 1e-6
+    relative, one pass mostly meets that stop.  The result is only a guess:
+    two Sturm counts prove any bracket built on it.
     """
     try:
         for _ in range(6):
@@ -480,10 +481,10 @@ def _newton_singular_value(c2: list[float], x: float) -> float:
             step = 1.0 / s
             x -= step
             if abs(step) <= 1e-7 * x:
-                break
+                return x
     except ZeroDivisionError:
-        return math.nan
-    return x
+        pass
+    return math.nan
 
 
 def _fd_solve(

@@ -211,6 +211,13 @@ class TestDecayCommand:
         assert out == ""
         assert "--t-end" in err and "0.000390625" in err
 
+    @pytest.mark.parametrize("t_end", ["0", "-1"])
+    def test_nonpositive_t_end_exits_2(self, capsys, t_end):
+        code, out, err = run_cli(capsys, "decay", "--t-end", t_end, "--grid", "64")
+        assert code == 2
+        assert out == ""
+        assert "t_end must be positive" in err and "too short" not in err
+
     def test_blown_up_march_exits_3(self, capsys, recwarn):
         # the explicit heat scheme would blow up at this drift (cell Peclet
         # number 1.98): the grid is refused before the first step, with one
@@ -269,6 +276,15 @@ class TestVerifyMocCommand:
         assert code == 2
         assert out == ""
         assert "--t-end" in err and dt in err and "--grid" in err and "--cfl" in err
+
+    @pytest.mark.parametrize("t_end", ["0", "-1"])
+    @pytest.mark.parametrize("flux", ["heat", "plap:3"])
+    def test_nonpositive_t_end_exits_2(self, capsys, t_end, flux):
+        code, out, err = run_cli(capsys, "verify-moc", "--t-end", t_end, "--grid", "32",
+                                 "--flux", flux)
+        assert code == 2
+        assert out == ""
+        assert "t_end must be positive" in err and "too short" not in err
 
 
 class TestRicciCommand:

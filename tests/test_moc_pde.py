@@ -45,7 +45,9 @@ def reference_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot, l
     p-Laplacian uses mp = (q^2 + eps^2)^((p-2)/2) with the centered
     q = (u[i+1] - u[i-1])/(2h), and eps = 1e-8 * osc(u0) / diameter when the
     flux leaves it unset.  dt = cfl*h^2/max(alpha), alpha = (p-1)*mp, unless
-    it is fixed.  This is ``textbook_march`` with its arithmetic regrouped.
+    it is fixed.  Step k is stamped k*dt when dt is known up front and at the
+    sum of its steps otherwise.  This is ``textbook_march`` with its
+    arithmetic regrouped.
     """
     targets = list(controls.output_times) if controls.output_times is not None else [t_end]
     gl = left_flux or (lambda _t: 0.0)
@@ -79,7 +81,7 @@ def reference_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot, l
             if not known_dt:
                 dt = controls.cfl * h * h / ((flux.p - 1.0) * float(np.max(mp)))
                 lin = lin * dt
-        t_new = (k + 1) * dt if controls.fixed_dt is not None else t + dt
+        t_new = (k + 1) * dt if known_dt else t + dt
         u_new = u + lin
         if odd_pivot:
             u_new[0] = 0.0
@@ -147,6 +149,12 @@ def textbook_march(flux, diameter, u0, h, nm1_tk, t_end, controls, odd_pivot, le
                 outputs.append((t_new, u_new.copy()))
         u, t, k = u_new, t_new, k + 1
     return outputs
+
+
+def heat_weights(h, nm1_tk, dt):
+    """The heat step's weights (ahead, behind) = (A - B, A + B)*dt, as ``_march`` forms them."""
+    diffusion, drift = 1.0 / (h * h), nm1_tk / (2.0 * h)
+    return (diffusion - drift) * dt, (diffusion + drift) * dt
 
 
 def reference_block_increment(band, steps):
@@ -451,7 +459,7 @@ class TestHeatBlockMarch:
                 h = params.diameter / (rows - 1)
                 nodes = -params.half_diameter + np.arange(rows) * h
             nm1_tk = (params.n - 1) * tk_array(kappa, nodes)
-            band = specgap.moc_pde._heat_step_band(h, nm1_tk, 0.4 * h * h, pivot)
+            band = specgap.moc_pde._heat_step_band(*heat_weights(h, nm1_tk, 0.4 * h * h), pivot)
             for steps in (2, 3, 64):
                 assert np.array_equal(specgap.moc_pde._block_increment(band, steps),
                                       reference_block_increment(band, steps))
@@ -471,9 +479,9 @@ class TestHeatBlockMarch:
                 h = params.diameter / (rows - 1)
                 nodes = -params.half_diameter + np.arange(rows) * h
             nm1_tk = (params.n - 1) * tk_array(kappa, nodes)
-            dt = 0.4 * h * h
-            weight = dt * (2.0 / h - nm1_tk[-1])
-            band = specgap.moc_pde._heat_step_band(h, nm1_tk, dt, pivot)
+            ahead, behind = heat_weights(h, nm1_tk, 0.4 * h * h)
+            weight = 2.0 * h * ahead[-1]
+            band = specgap.moc_pde._heat_step_band(ahead, behind, pivot)
             unforced = specgap.moc_pde._block_increment(band, steps)
             forced = specgap.moc_pde._block_increment(
                 specgap.moc_pde._with_register(band, weight, steps), steps, rows)
@@ -750,6 +758,43 @@ class TestStampsAreFloats:
         stamps = self.stamps(route, Flux.plaplacian(3.0, 0.0), np.zeros(33), controls, 1)
         assert stamps == [0.0, 0.5, 1.0]
         assert all(type(t) is float for t in stamps)
+
+
+class TestHeatClock:
+    """A heat run without ``fixed_dt`` stamps step k at exactly k*dt, dt = cfl*h^2."""
+
+    PARAMS = ModelParams(3, -1.0, 2.0)
+    SIGMA = 0.9 * MU_3_M1_2
+
+    @pytest.mark.parametrize("forcing", ["none", "right"])
+    @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
+    def test_every_stamp_is_a_step_multiple(self, route, forcing):
+        half = integrate_phi(self.PARAMS, self.SIGMA, 32)
+        grid = Grid1D(self.PARAMS.half_diameter, 32)
+        if route == "evolve":
+            u0, h = half.phi, grid.h
+        else:
+            u0, h = np.concatenate([-half.phi[:0:-1], half.phi]), self.PARAMS.diameter / 64
+        dt = 0.4 * h * h
+        # outputs after single steps only (the first three), then after blocks,
+        # on and between steps, up to about 5000 steps
+        times = [3.3 * dt, 5 * dt, 6 * dt, 200.4 * dt, 400 * dt, 0.5, 1.0, 2.0]
+        slope = half.dphi[-1]
+        controls = StepControls(
+            output_times=times,
+            right_flux=(lambda t: slope * math.exp(-self.SIGMA * t)) if forcing == "right" else None,
+        )
+        if route == "evolve":
+            phi0 = Profile(grid=grid, t=0.0, values=u0)
+            stamps = [p.t for p in evolve(Flux.heat(), self.PARAMS, phi0, times[-1], controls)]
+        else:
+            metric = WarpedMetric(self.PARAMS, 1.0)
+            stamps = radial_flow(metric, Flux.heat(), u0, times[-1], controls).times
+        assert len(stamps) == len(times)
+        for stamp, target in zip(stamps, times):
+            k = round(stamp / dt)
+            assert stamp == k * dt
+            assert abs(stamp - target) <= 0.5 * dt * (1.0 + 1e-12)
 
 
 class TestPivotStaysZero:

@@ -455,6 +455,22 @@ class TestFdBracket:
         # 1e-6 relative is about 20 halvings past lo > 0; 1e-14 is about 47
         assert guess_counts < 30 < len(points)
 
+    def test_unconverged_newton_is_nan(self, monkeypatch):
+        # the rough 64-cell guess for index 3 on (10, -1, 20) is 3.781, where
+        # the 256-cell sigma_3 is 3.745: six Newton steps end near 2.272 (no
+        # singular value) without meeting the stop
+        params = ModelParams(10, -1.0, 20.0)
+        rough = specgap.sturm._fd_solve(params, 64, 3, None, rough=True)
+        c = _fd_flux_factor(params, 256)
+        assert math.isnan(specgap.sturm._newton_singular_value((c * c).tolist(), rough))
+        # so the solve takes the counted pass alone, as without a guess
+        points = self.fine_counts(monkeypatch, 256)
+        reference = specgap.sturm._fd_solve(params, 256, 3, None)
+        plain = len(points)
+        points.clear()
+        assert _fd_singular_value(params, 256, 3) == reference
+        assert len(points) == plain
+
     @pytest.mark.parametrize("gridpoints", [2048, 64, 256])
     def test_fine_solve_is_seeded_by_the_coarse_one(self, monkeypatch, gridpoints):
         # every ladder stays at or above 64 cells (c2 holds two entries per cell)
