@@ -367,7 +367,7 @@ def _march(
     that of the per-step loop, and the values agree with it to roundoff.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
-        raise InvalidParamsError(f"t_end must be positive, got {t_end}")
+        raise InvalidParamsError(f"t_end must be positive and finite, got {t_end}")
     if flux.p < 2.0 and flux.epsilon is None:
         raise InvalidParamsError("a p < 2 flux needs an explicit epsilon (flux spec "
                                  "plap:P:EPS): the default one takes millions of steps")

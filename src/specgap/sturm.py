@@ -2,7 +2,9 @@
 
 Two independent routes to the same number:
 
-* ``first_eigenvalue`` -- shooting.  One RK4 kernel integrates
+* ``first_eigenvalue`` -- shooting.  One kernel, the fourth-order two-point
+  Gauss Magnus step (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9,
+  2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), integrates
   ``phi'' - (n-1)*tk*phi' + sigma*phi = 0``, ``phi(0) = 0``, ``phi'(0) = 1``
   on [0, D/2] and counts sign changes of phi'.  By Sturm oscillation odd
   Neumann mode j has exactly j of them, so the predicate "at most j changes"
@@ -13,13 +15,12 @@ Two independent routes to the same number:
   the eigenvalue: there phi' first vanishes at the endpoint, which is
   exactly the Neumann condition of the weighted form.  The first grid
   starts from the bracket (0, a curvature-scaled guess); from the third grid
-  on, each level starts from a tol/8 bracket around the RK4 (h^4)
-  prediction from the two coarser levels.  One outward search, by doubling
-  widths, moves any starting bracket that misses, and sigma <= 0, where the
-  predicate provably holds, is never shot.  Grids double until the last
-  delta is below tol/4 and the one before below 16*tol/4: one doubling
-  shrinks an h^4 error at most 16x, so the error left is about a fifteenth
-  of the last delta.
+  on, each level starts from a tol/8 bracket around the h^4 prediction from
+  the two coarser levels.  One outward search, by doubling widths, moves any
+  starting bracket that misses, and sigma <= 0, where the predicate provably
+  holds, is never shot.  Grids double until the last delta is below tol/4
+  and the one before below 16*tol/4: one doubling shrinks an h^4 error at
+  most 16x, so the error left is about a fifteenth of the last delta.
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-count bisection on the zero-diagonal
@@ -52,8 +53,9 @@ from .specialfn import ck, sk, tk_array
 
 # Starting grid for the shooting integrator; refined by doubling until the
 # last refinement moves the eigenvalue by less than tol/4 and the one before
-# by less than 16*tol/4.  RK4's h^4 law shrinks a delta at most 16x per
-# doubling, so the error left in the finest level is about delta/15 < tol/60.
+# by less than 16*tol/4.  The Magnus step's h^4 law shrinks a delta at most
+# 16x per doubling, so the error left in the finest level is about
+# delta/15 < tol/60.
 _INITIAL_STEPS = 128
 _MAX_STEPS = 1 << 22
 
@@ -113,86 +115,111 @@ class EigenResult:
         return sum(level.evaluations for level in self.levels)
 
 
-def _shooting_grid(params: ModelParams, steps: int) -> tuple[float, float, list[float]]:
-    """(n-1, step h, tk at the nodes and half-nodes s = j*h/2) on [0, D/2]."""
+def _shooting_grid(params: ModelParams, steps: int) -> tuple[float, tuple[list[float], ...]]:
+    """(step h, the Magnus table) on the uniform grid of [0, D/2].
+
+    Step j of ``_shoot`` reads a = (n-1)*tk at its two Gauss points
+    j*h + h*(1/2 -+ sqrt(3)/6) through x = h*(a1 + a2)/4 and
+    k = (sqrt(3)/12)*h^2*(a1 - a2).  The table holds the sigma-free columns
+    x, x^2, e^x, h + k, k^2 - h^2 and k - h, one entry per step; e^x may
+    overflow to inf.
+    """
     half = params.half_diameter
     if params.kappa > 0 and half >= math.pi / (2.0 * math.sqrt(params.kappa)):
         raise PoleError(
             "integration interval [0, %g] contains a pole of tk at pi/(2*sqrt(kappa))" % half
         )
-    pts = np.arange(2 * steps + 1) * (half / (2 * steps))
-    return float(params.n - 1), half / steps, tk_array(params.kappa, pts).tolist()
+    h = half / steps
+    offset = math.sqrt(3.0) / 6.0
+    starts = np.arange(steps) * h
+    pts = np.empty(2 * steps)
+    pts[0::2] = starts + (0.5 - offset) * h
+    pts[1::2] = starts + (0.5 + offset) * h
+    a = (params.n - 1) * tk_array(params.kappa, pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (0.25 * h) * (a[0::2] + a[1::2])
+        k = (0.5 * offset * h * h) * (a[0::2] - a[1::2])
+        table = (x, x * x, np.exp(x), h + k, (k - h) * (k + h), k - h)
+    return h, tuple(column.tolist() for column in table)
 
 
 def _shoot(
-    nm1: float,
     sigma: float,
-    h: float,
     steps: int,
-    tks: list[float],
+    table: tuple[list[float], ...],
     mode: int,
     phis: np.ndarray | None = None,
     dphis: np.ndarray | None = None,
 ) -> tuple[int, float]:
-    """RK4 march from (phi, phi') = (0, 1); returns (sign changes of phi', end).
+    """Magnus march from (phi, phi') = (0, 1); returns (sign changes of phi', end).
+
+    The system y' = A*y, A = [[0, 1], [-sigma, a]], advances by the
+    fourth-order two-point Gauss Magnus step exp(Omega), with
+    Omega = (h/2)*(A1 + A2) + (sqrt(3)/12)*h^2*[A2, A1] = x*I + N and
+    N = [[-x, h + k], [sigma*(k - h), x]] in ``_shooting_grid``'s terms.
+    N^2 = d^2*I with d^2 = x^2 + sigma*(k^2 - h^2), so
+    exp(Omega) = e^x*(cosh(d)*I + (sinh(d)/d)*N): one expm1 for d^2 > 0, a
+    cos and a sin for d^2 < 0.  The step is exact where a is constant.  A
+    step whose exp(Omega) is not a float (expm1 or cos past its range) makes
+    phi and phi' NaN from there on.
 
     Zero and NaN values of phi' count as non-positive; ``end`` is phi' at D/2, NaN if the
     march stopped early.  Without output arrays the march stops once the count
     exceeds ``mode + 1`` or the solution blows up: ``count <= mode`` is decided
     as by a march that stops past ``mode``, and ``end`` is known on both sides
     of the eigenvalue of mode ``mode``.  With output arrays it runs to the end
-    and records phi, phi' at nodes 1..steps.  ``tks`` is ``_shooting_grid``'s
-    list of tk at the 2*steps + 1 nodes and half-nodes.
+    and records phi, phi' at nodes 1..steps.
     """
     # same IEEE results as numpy scalars, without a numpy call per operation
-    sigma, h = float(sigma), float(h)
+    sigma = float(sigma)
+    sqrt, cos, sin, expm1 = math.sqrt, math.cos, math.sin, math.expm1
     record = phis is not None
     limit = steps if record else mode + 1
     big = math.inf if record else _BLOWUP
     phi, dphi = 0.0, 1.0
     rising = True
     count = 0
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    # nm1*t*y evaluates as (nm1*t)*y, so the products nm1*t are formed once
-    # per node and the end node's product is the next step's start one
-    nodes = iter(tks)
-    c0 = nm1 * next(nodes)
     i = 0
-    for tm, t1 in zip(nodes, nodes):
-        cm = nm1 * tm
-        c1 = nm1 * t1
-        k1d = c0 * dphi - sigma * phi
-        p2 = phi + h2 * dphi
-        d2 = dphi + h2 * k1d
-        k2d = cm * d2 - sigma * p2
-        p3 = phi + h2 * d2
-        d3 = dphi + h2 * k2d
-        k3d = cm * d3 - sigma * p3
-        p4 = phi + h * d3
-        d4 = dphi + h * k3d
-        k4d = c1 * d4 - sigma * p4
-        c0 = c1
-        phi += h6 * (dphi + 2.0 * (d2 + d3) + d4)
-        dphi += h6 * (k1d + 2.0 * (k2d + k3d) + k4d)
+    try:
+        for x, xx, ex, hk, kh2, km in zip(*table):
+            d2 = xx + sigma * kh2
+            if d2 < 0.0:
+                w = sqrt(-d2)
+                c = ex * cos(w)
+                s = ex * sin(w) / w
+            elif d2 > 0.0:
+                d = sqrt(d2)
+                em = expm1(d)
+                inv = 1.0 / (1.0 + em)  # e^-d
+                c = 0.5 * ex * (1.0 + em + inv)
+                s = 0.5 * ex * em * (1.0 + inv) / d
+            else:
+                c = s = ex
+            xs = x * s
+            phi, dphi = (c - xs) * phi + hk * s * dphi, sigma * km * s * phi + (c + xs) * dphi
+            if record:
+                i += 1
+                phis[i] = phi
+                dphis[i] = dphi
+            if (dphi > 0.0) == rising:
+                if dphi > big or phi > big or phi < -big:
+                    # grew without a further sign change: the count is final on this grid
+                    return count, math.nan
+            else:
+                rising = not rising
+                count += 1
+                if count > limit:
+                    return count, math.nan
+    except (OverflowError, ValueError):
+        # the NaN march: a NaN phi' is one more sign change if phi' was positive
         if record:
-            i += 1
-            phis[i] = phi
-            dphis[i] = dphi
-        if (dphi > 0.0) == rising:
-            if dphi > big or phi > big or phi < -big:
-                # grew without a further sign change: the count is final on this grid
-                return count, math.nan
-        else:
-            rising = not rising
-            count += 1
-            if count > limit:
-                return count, math.nan
+            phis[i + 1 :] = dphis[i + 1 :] = math.nan
+        return count + rising, math.nan
     return count, dphi
 
 
 def integrate_phi(params: ModelParams, sigma: float, steps: int) -> PhiTrajectory:
-    """Integrate the shooting IVP with classical 4th-order steps.
+    """Integrate the shooting IVP with fourth-order Magnus steps.
 
     Runs the shooting kernel over the whole of [0, D/2] and records (phi,
     phi') at every node.  The odd extension of the solution covers [-D/2, 0],
@@ -202,10 +229,10 @@ def integrate_phi(params: ModelParams, sigma: float, steps: int) -> PhiTrajector
         raise InvalidParamsError(f"steps must be >= 16, got {steps}")
     if not math.isfinite(sigma):
         raise InvalidParamsError(f"sigma must be finite, got {sigma}")
-    nm1, h, tks = _shooting_grid(params, steps)
+    h, table = _shooting_grid(params, steps)
     phis = np.zeros(steps + 1)
     dphis = np.ones(steps + 1)
-    _shoot(nm1, sigma, h, steps, tks, 0, phis, dphis)
+    _shoot(sigma, steps, table, 0, phis, dphis)
     grid = np.arange(steps + 1) * h
     return PhiTrajectory(sigma=sigma, grid=grid, phi=phis, dphi=dphis)
 
@@ -240,7 +267,7 @@ def _bisect_level(
     tries guess, 2*guess, 4*guess, ...  Down it stops at sigma = 0; up it
     raises NonConvergenceError at _SIGMA_CAP.
     """
-    nm1, h, tks = _shooting_grid(params, steps)
+    _, table = _shooting_grid(params, steps)
     sign = -1.0 if mode % 2 else 1.0
     evals = 0
 
@@ -251,7 +278,7 @@ def _bisect_level(
             return True, math.nan
         nonlocal evals
         evals += 1
-        count, end = _shoot(nm1, sigma, h, steps, tks, mode)
+        count, end = _shoot(sigma, steps, table, mode)
         return count <= mode, sign * end
 
     if hint is None:
@@ -314,15 +341,15 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
     The sigma bracket is narrowed to tol/8 (``_bisect_level``: Illinois steps
     on phi'(D/2), each decided by the predicate) on successively doubled
     integration grids.  Level k is accepted once |mu_k - mu_(k-1)| < tol/4
-    and |mu_(k-1) - mu_(k-2)| < 16*tol/4.  Under RK4's h^4 error law one
-    doubling shrinks a delta at most 16x, so the second test rejects a last
-    delta that is small by accident, and the error left in mu_k is about
-    |mu_k - mu_(k-1)|/15, under tol/60.  The reported value is the raw finest
-    level, so it carries both a proved bracket and a grid-convergence check.
-    ``levels`` records every level.  The first level starts from the hint
-    (0, a curvature-scaled guess), the second from the first bracket widened
-    by a margin.  Later levels start from a bracket just under tol/8 wide
-    centred on mu_k + (mu_k - mu_(k-1))/16, the next value that RK4's h^4
+    and |mu_(k-1) - mu_(k-2)| < 16*tol/4.  Under the Magnus step's h^4 error
+    law one doubling shrinks a delta at most 16x, so the second test rejects
+    a last delta that is small by accident, and the error left in mu_k is
+    about |mu_k - mu_(k-1)|/15, under tol/60.  The reported value is the raw
+    finest level, so it carries both a proved bracket and a grid-convergence
+    check.  ``levels`` records every level.  The first level starts from the
+    hint (0, a curvature-scaled guess), the second from the first bracket
+    widened by a margin.  Later levels start from a bracket just under tol/8 wide
+    centred on mu_k + (mu_k - mu_(k-1))/16, the next value that the h^4
     error law predicts.  ``_bisect_level`` steps outward from a hint that misses, by
     doubling widths, without shooting sigma <= 0, and the predicate alone
     decides every trial.  A zero of phi' at the endpoint counts as predicate
@@ -344,7 +371,7 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
         ):
             return EigenResult(mu, lo, hi, steps, tuple(levels))
         if len(levels) >= 2:
-            # RK4's error falls 16x per doubling: predict the next level.  Two
+            # the h^4 error falls 16x per doubling: predict the next level.  Two
             # ulps less than tol_sigma/2 keep the rounded hint within
             # tol_sigma, so a hint that holds the eigenvalue needs no trial.
             guess = mu + (mu - levels[-2].mu) / 16.0

@@ -287,6 +287,16 @@ class TestVerifyMocCommand:
         assert "t_end must be positive" in err and "too short" not in err
 
 
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["evolve", "decay", "verify-moc"])
+def test_nonfinite_t_end_exits_2(capsys, command, t_end):
+    # the refusal names both conditions: an infinite horizon is positive
+    code, out, err = run_cli(capsys, command, "--t-end", t_end, "--grid", "64")
+    assert code == 2
+    assert out == ""
+    assert "t_end must be positive and finite, got %s" % t_end in err
+
+
 class TestRicciCommand:
     def test_admissible_report(self, capsys):
         code, out, _ = run_cli(capsys, "ricci", "--n", "3", "--kappa", "0", "--warp-a", "5")

@@ -23,6 +23,7 @@ from specgap.specialfn import tk
 from specgap.sturm import (
     _bisect_level,
     _fd_flux_factor,
+    _fd_ladder,
     _fd_singular_value,
     _shoot,
     _shooting_grid,
@@ -94,6 +95,14 @@ class TestIntegratePhi:
         idx = np.searchsorted(traj.grid, 1.0)
         assert traj.grid[idx] == pytest.approx(1.0, abs=1e-12)
         assert abs(traj.phi[idx] - math.sin(1.0)) < 1e-8
+
+    def test_kernel_is_exact_at_kappa_zero(self):
+        # no drift: each Magnus step is the exact rotation, even on 16 steps
+        sigma = (math.pi / 2.0) ** 2
+        traj = integrate_phi(ModelParams(3, 0.0, 2.0), sigma, 16)
+        w = math.sqrt(sigma)
+        np.testing.assert_allclose(traj.phi, np.sin(w * traj.grid) / w, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(traj.dphi, np.cos(w * traj.grid), rtol=0, atol=1e-13)
 
     def test_grid_uniform_and_increasing(self):
         traj = integrate_phi(ModelParams(2, -0.5, 3.0), 2.0, steps=64)
@@ -199,6 +208,31 @@ class TestFirstEigenvalue:
     def test_h4_rule_stops_at_512_steps(self, kappa):
         # two deltas under tol/4 asked for 1024 steps at the CLI default kappa = 0
         assert first_eigenvalue(ModelParams(3, kappa, 2.0), 1e-9).steps == 512
+
+    def test_drift_point_accepts_a_coarse_grid(self):
+        # strong drift, (n-1)*tk down to about -55: accepted by 1024 steps
+        params = ModelParams(8, -81.45, 0.3007)
+        res = first_eigenvalue(params, 1e-9)
+        assert res.steps <= 1024
+        s_g, s_2g, s_4g = _fd_ladder(params, 2048, 1, 3)
+        r_g = (4.0 * s_2g**2 - s_g**2) / 3.0
+        r_2g = (4.0 * s_4g**2 - s_2g**2) / 3.0
+        assert abs(res.mu - (16.0 * r_2g - r_g) / 15.0) < 1e-9
+
+    def test_near_bonnet_myers_returns_in_bounded_time(self):
+        # tk's pole lies just past D/2 and the Magnus step loses order there:
+        # the finest grid is 2^17 steps, under a second for each point
+        code = (
+            "import math\n"
+            "from specgap import ModelParams, first_eigenvalue\n"
+            "for gap in (1e-10, 1e-6):\n"
+            "    print(repr(first_eigenvalue(ModelParams(2, 1.0, math.pi * (1 - gap)), 1e-9).mu))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10)
+        mus = [float(line) for line in proc.stdout.split()]
+        assert len(mus) == 2
+        assert all(abs(mu - 2.0) < 1e-9 for mu in mus)
 
     def test_seeded_lattice_within_tol_of_a_tight_solve(self):
         rng = np.random.default_rng(0)
@@ -593,24 +627,34 @@ def test_pole_guard_in_integrator():
         integrate_phi(params, 1.0, steps=64)
 
 
+def reference_step(sigma, x, xx, ex, hk, kh2, km):
+    """The Magnus step exp(Omega) of one table row, as (p11, p12, p21, p22)."""
+    d2 = xx + sigma * kh2
+    if d2 < 0.0:
+        w = math.sqrt(-d2)
+        c = ex * math.cos(w)
+        s = ex * math.sin(w) / w
+    elif d2 > 0.0:
+        d = math.sqrt(d2)
+        em = math.expm1(d)
+        inv = 1.0 / (1.0 + em)
+        c = 0.5 * ex * (1.0 + em + inv)
+        s = 0.5 * ex * em * (1.0 + inv) / d
+    else:
+        c = s = ex
+    return c - x * s, hk * s, sigma * km * s, c + x * s
+
+
 def reference_count(params: ModelParams, sigma: float, steps: int, mode: int) -> int:
     """Sign changes of phi' from the early-exit march that stops past ``mode``."""
-    nm1, h, tks = _shooting_grid(params, steps)
-    sigma, h = float(sigma), float(h)  # numpy scalar arithmetic is far slower
+    _, table = _shooting_grid(params, steps)
+    sigma = float(sigma)  # numpy scalar arithmetic is far slower
     phi, dphi = 0.0, 1.0
     rising = True
     count = 0
     for i in range(steps):
-        t0, tm, t1 = tks[2 * i], tks[2 * i + 1], tks[2 * i + 2]
-        k1d = nm1 * t0 * dphi - sigma * phi
-        p2, d2 = phi + 0.5 * h * dphi, dphi + 0.5 * h * k1d
-        k2d = nm1 * tm * d2 - sigma * p2
-        p3, d3 = phi + 0.5 * h * d2, dphi + 0.5 * h * k2d
-        k3d = nm1 * tm * d3 - sigma * p3
-        p4, d4 = phi + h * d3, dphi + h * k3d
-        k4d = nm1 * t1 * d4 - sigma * p4
-        phi += h / 6.0 * (dphi + 2.0 * (d2 + d3) + d4)
-        dphi += h / 6.0 * (k1d + 2.0 * (k2d + k3d) + k4d)
+        p11, p12, p21, p22 = reference_step(sigma, *(column[i] for column in table))
+        phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
         if (dphi > 0.0) == rising:
             if abs(dphi) > 1e200 or abs(phi) > 1e200:
                 return count
@@ -655,10 +699,14 @@ def reference_level(params, tol_sigma, steps, hint, mode=0):
 
 
 def reference_eigenvalue(params: ModelParams, tol: float):
-    """first_eigenvalue's grid doubling over reference_level: (lo, hi, steps)."""
+    """first_eigenvalue's grid doubling over reference_level: (lo, hi, steps).
+
+    Each level bisects to tol/1024, so its mu reads the grid eigenvalue
+    rather than a point up to tol/16 off it.
+    """
     steps, hint, mus = 128, None, []
     while True:
-        mu, lo, hi, _ = reference_level(params, tol / 8.0, steps, hint)
+        mu, lo, hi, _ = reference_level(params, tol / 1024.0, steps, hint)
         mus.append(mu)
         deltas = [abs(b - a) for a, b in zip(mus[:-1], mus[1:])]
         if len(deltas) >= 2 and deltas[-1] < tol / 4 and deltas[-2] < 16 * tol / 4:
@@ -717,7 +765,7 @@ class TestIllinoisLevel:
         sigmas = []
 
         def spy(*args):
-            sigmas.append(args[1])
+            sigmas.append(args[0])
             return shoot(*args)
 
         monkeypatch.setattr(specgap.sturm, "_shoot", spy)
@@ -765,10 +813,10 @@ class TestIllinoisLevel:
         for params in [*self.NAMED, ModelParams(10, -1.0, 20.0), ModelParams(2, 0.0, 1000.0)]:
             steps = 256
             mu_mode = _bisect_level(params, 1e-6, steps, None, mode)[0]
-            nm1, h, tks = _shooting_grid(params, steps)
+            _, table = _shooting_grid(params, steps)
             sigmas = [0.0, mu_mode, *(mu_mode * rng.uniform(0.0, 3.0, size=24))]
             for sigma in sigmas:
-                count, end = _shoot(nm1, sigma, h, steps, tks, mode)
+                count, end = _shoot(sigma, steps, table, mode)
                 assert (count <= mode) == (reference_count(params, sigma, steps, mode) <= mode)
                 if count <= mode + 1 and math.isfinite(end):
                     assert end == integrate_phi(params, sigma, steps).dphi[-1]
@@ -786,7 +834,7 @@ class TestIllinoisLevel:
 
         def fake(*args):
             count, value = shoot(*args)
-            passes = count <= args[5]
+            passes = count <= args[3]
             return count, {
                 "nan": math.nan,
                 "inf": math.inf,
@@ -815,7 +863,7 @@ class TestIllinoisLevel:
         levels = []
 
         def count_calls(*args):
-            calls.append(args[1])
+            calls.append(args[0])
             return shoot(*args)
 
         def record_level(*args):
@@ -831,33 +879,18 @@ class TestIllinoisLevel:
         assert res.iterations == levels[-1]
 
 
-def reference_shoot(nm1, sigma, h, steps, tks, mode, phis=None, dphis=None):
-    """Reference RK4 kernel: indexes tks per step and forms nm1*t inside each stage."""
-    sigma, h = float(sigma), float(h)
+def reference_shoot(sigma, steps, table, mode, phis=None, dphis=None):
+    """Reference Magnus kernel: indexes the table per step and forms the step matrix first."""
+    sigma = float(sigma)
     record = phis is not None
     limit = steps if record else mode + 1
     big = math.inf if record else 1e200
     phi, dphi = 0.0, 1.0
     rising = True
     count = 0
-    h2 = 0.5 * h
-    h6 = h / 6.0
     for i in range(steps):
-        t0 = tks[2 * i]
-        tm = tks[2 * i + 1]
-        t1 = tks[2 * i + 2]
-        k1d = nm1 * t0 * dphi - sigma * phi
-        p2 = phi + h2 * dphi
-        d2 = dphi + h2 * k1d
-        k2d = nm1 * tm * d2 - sigma * p2
-        p3 = phi + h2 * d2
-        d3 = dphi + h2 * k2d
-        k3d = nm1 * tm * d3 - sigma * p3
-        p4 = phi + h * d3
-        d4 = dphi + h * k3d
-        k4d = nm1 * t1 * d4 - sigma * p4
-        phi += h6 * (dphi + 2.0 * (d2 + d3) + d4)
-        dphi += h6 * (k1d + 2.0 * (k2d + k3d) + k4d)
+        p11, p12, p21, p22 = reference_step(sigma, *(column[i] for column in table))
+        phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
         if record:
             phis[i + 1] = phi
             dphis[i + 1] = dphi
@@ -903,23 +936,49 @@ class TestScalarKernels:
     @pytest.mark.parametrize("steps", [128, 1024])
     def test_shoot_is_the_reference_kernel(self, params, steps):
         mu = sl_fd_oracle(params, 256)
-        nm1, h, tks = _shooting_grid(params, steps)
+        h, table = _shooting_grid(params, steps)
         traj = integrate_phi(params, mu, steps)
         phis, dphis = np.zeros(steps + 1), np.ones(steps + 1)
-        reference_shoot(nm1, mu, h, steps, tks, 0, phis, dphis)
+        reference_shoot(mu, steps, table, 0, phis, dphis)
         assert np.array_equal(traj.phi, phis)
         assert np.array_equal(traj.dphi, dphis)
         rng = np.random.default_rng(steps)
-        blowup = 1e4 / h**2  # RK4 amplifies by about (sigma*h^2)^2/24 a step, without a sign change
-        sigmas = [0.0, mu, *(mu * rng.uniform(0.0, 3.0, size=24)), blowup]
+        sigmas = [0.0, mu, *(mu * rng.uniform(0.0, 3.0, size=24)), 1e4 / h**2]
         for mode in range(3):
             for sigma in sigmas:
-                count, end = _shoot(nm1, sigma, h, steps, tks, mode)
-                ref_count, ref_end = reference_shoot(nm1, sigma, h, steps, tks, mode)
+                count, end = _shoot(sigma, steps, table, mode)
+                ref_count, ref_end = reference_shoot(sigma, steps, table, mode)
                 assert count == ref_count
                 assert end == ref_end or (math.isnan(end) and math.isnan(ref_end))
-        count, end = _shoot(nm1, blowup, h, steps, tks, 2)
+
+    @pytest.mark.parametrize("steps", [128, 1024])
+    def test_blowup_stops_the_march(self, steps):
+        # next to the Bonnet-Myers pole the drift (n-1)*tk drives phi' past
+        # the double range without a sign change
+        params = ModelParams(80, 1.0, math.pi * (1.0 - 1e-10))
+        _, table = _shooting_grid(params, steps)
+        assert not np.max(integrate_phi(params, 1e-3, steps).dphi) < 1e200
+        count, end = _shoot(1e-3, steps, table, 2)
         assert count == 0 and math.isnan(end)  # stopped by the blow-up test
+        assert reference_shoot(1e-3, steps, table, 2)[0] == 0
+
+    @pytest.mark.parametrize(
+        "params",
+        # expm1: e^d of the first step is past expm1's range (x is about
+        # -3711).  cos: at kappa = 0 the drift columns are 0 and h is about
+        # 2e154, so k^2 - h^2 overflows to -inf, d^2 = -inf and cos(inf)
+        # raises
+        [ModelParams(20, -1.0, 1e5), ModelParams(3, 0.0, 5e156)],
+        ids=["expm1", "cos"],
+    )
+    def test_unrepresentable_step_marches_on_in_nan(self, params):
+        _, table = _shooting_grid(params, 128)
+        for mode in range(3):
+            count, end = _shoot(1.0, 128, table, mode)
+            assert count == 1 and math.isnan(end)  # a NaN phi' is not positive
+        traj = integrate_phi(params, 1.0, 128)
+        assert (traj.phi[0], traj.dphi[0]) == (0.0, 1.0)
+        assert np.all(np.isnan(traj.phi[1:])) and np.all(np.isnan(traj.dphi[1:]))
 
     @pytest.mark.parametrize(
         "c2, x",
