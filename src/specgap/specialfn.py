@@ -68,18 +68,17 @@ def sk_array(kappa: float, tau: np.ndarray) -> np.ndarray:
 
 
 def tk_array(kappa: float, s: np.ndarray) -> np.ndarray:
-    """Vectorized ``tk`` for a fixed kappa; raises on any pole hit.
+    """Vectorized ``tk`` for a fixed kappa; raises on any pole hit (kappa > 0).
 
-    Past the overflow of cosh (kappa < 0) the quotient is inf/inf; there tk
-    takes its limit -sqrt(-kappa)*sign(s), and every finite value is kept.
+    For kappa < 0, tk = -sqrt(-kappa)*tanh(sqrt(-kappa)*s), bounded and
+    finite for every finite s.
     """
     s = np.asarray(s, dtype=float)
+    if kappa < 0:
+        rt = math.sqrt(-kappa)
+        return -rt * np.tanh(rt * s)
     c = ck_array(kappa, s)
     w = kappa * sk_array(kappa, s)
     if np.any(np.abs(c) < _POLE_TOL * np.maximum(1.0, np.abs(w))):
         raise PoleError(f"tk_array(kappa={kappa}): a grid point sits on a pole")
-    with np.errstate(invalid="ignore"):
-        t = w / c
-    if kappa < 0:
-        t = np.where(np.isfinite(t), t, -math.sqrt(-kappa) * np.sign(s))
-    return t
+    return w / c

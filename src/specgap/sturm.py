@@ -63,6 +63,9 @@ _MAX_STEPS = 1 << 22
 # comparison at tol/4 measures grid error, not bisection slack.
 _SIGMA_REFINE = 8.0
 
+# Upper end of the outward search, on the unit-size problem that
+# ``_bisect_level`` solves (diameter in [0.5, 1)): its unhinted guess is
+# n*max(kappa, 0) + 4*(pi/m)^2, at most (4n + 16)*pi^2.
 _SIGMA_CAP = 1e12
 
 # Values beyond this magnitude are treated as numerical blow-up of the IVP
@@ -258,15 +261,34 @@ def _bisect_level(
     the bracket at least halves in every three trials.
 
     A ``hint`` (lo, hi) should have lo pass and hi fail; no hint means the
-    hint (0, a curvature-scaled guess capped at _SIGMA_CAP).  Every
-    sigma <= 0 passes without a shot, so lo is clamped to 0 and sigma = 0
-    costs nothing.  An end that fails its test becomes the other end, and
-    one outward search moves the bracket until it holds the eigenvalue:
-    each new end lies one step beyond the old one, and the step starts at
-    the hint's width and doubles after each use.  Unhinted, the search
-    tries guess, 2*guess, 4*guess, ...  Down it stops at sigma = 0; up it
-    raises NonConvergenceError at _SIGMA_CAP.
+    hint (0, a curvature-scaled guess).  Every sigma <= 0 passes without a
+    shot, so lo is clamped to 0 and sigma = 0 costs nothing.  An end that
+    fails its test becomes the other end, and one outward search moves the
+    bracket until it holds the eigenvalue: each new end lies one step beyond
+    the old one, and the step starts at the hint's width and doubles after
+    each use.  Unhinted, the search tries guess, 2*guess, 4*guess, ...  Down
+    it stops at sigma = 0; up it raises NonConvergenceError at _SIGMA_CAP.
+
+    The level is solved on the diameter m in [0.5, 1) of D = m*2^e: with
+    s = 2^e*t the problem (n, kappa, D) is (n, kappa*4^e, m) with every
+    sigma scaled by 4^e.  A power of two scales h, the nodes, tk, the Magnus
+    table and every trial point exactly, so each decision is the one taken
+    in the caller's units, while the guess and the cap see a unit-size
+    problem.  A scaled input or result outside the double range raises
+    NonConvergenceError.
     """
+    m, e = math.frexp(params.diameter)
+    try:
+        unit = ModelParams(params.n, math.ldexp(params.kappa, 2 * e), m)
+        unit_tol = math.ldexp(tol_sigma, 2 * e)
+        if hint is not None:
+            hint = (math.ldexp(hint[0], 2 * e), math.ldexp(hint[1], 2 * e))
+    except (OverflowError, InvalidParamsError):
+        raise NonConvergenceError(
+            "kappa = %g or sigma tolerance %g, scaled by D^2 = (%g)^2, is outside the double range"
+            % (params.kappa, tol_sigma, params.diameter)
+        ) from None
+    params, tol_sigma = unit, unit_tol
     _, table = _shooting_grid(params, steps)
     sign = -1.0 if mode % 2 else 1.0
     evals = 0
@@ -282,10 +304,8 @@ def _bisect_level(
         return count <= mode, sign * end
 
     if hint is None:
-        # a product, not a power: at a tiny diameter it overflows to inf, not an error
-        scale = math.pi / params.diameter
-        guess = min(params.n * max(params.kappa, 0.0) + 4.0 * scale * scale, _SIGMA_CAP)
-        hint = (0.0, max(1.0, guess))
+        scale = math.pi / m
+        hint = (0.0, params.n * max(params.kappa, 0.0) + 4.0 * scale * scale)
     lo = max(0.0, hint[0])
     hi = max(lo, hint[1])
     step = max(hi - lo, tol_sigma)
@@ -332,7 +352,14 @@ def _bisect_level(
             hi, f_hi = sigma, f
         last = passes
         slow = 0 if sigma == mid or hi - lo <= 0.5 * width else slow + 1
-    return 0.5 * (lo + hi), lo, hi, evals
+    mu = 0.5 * (lo + hi)
+    try:
+        back = [math.ldexp(value, -2 * e) for value in (mu, lo, hi)]
+    except OverflowError:
+        back = [math.inf]
+    if not 0.0 < back[0] < math.inf:
+        raise NonConvergenceError("mu = %r * 4^%d is outside the double range" % (mu, -e))
+    return back[0], back[1], back[2], evals
 
 
 def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
@@ -353,7 +380,9 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
     error law predicts.  ``_bisect_level`` steps outward from a hint that misses, by
     doubling widths, without shooting sigma <= 0, and the predicate alone
     decides every trial.  A zero of phi' at the endpoint counts as predicate
-    failure (the Neumann condition holds exactly at the eigenvalue).
+    failure (the Neumann condition holds exactly at the eigenvalue).  A level
+    whose mu has 4 ulps above tol raises NonConvergenceError: a delta below
+    tol/4 would there be level-to-level roundoff, not grid convergence.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidParamsError(f"tol must be positive, got {tol}")
@@ -363,6 +392,10 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
     levels: list[GridLevel] = []
     while True:
         mu, lo, hi, evals = _bisect_level(params, tol_sigma, steps, hint)
+        if 4.0 * math.ulp(mu) > tol:
+            raise NonConvergenceError(
+                "tol = %g is below the float resolution of mu = %r" % (tol, mu)
+            )
         levels.append(GridLevel(steps, mu, lo, hi, evals))
         if (
             len(levels) >= 3

@@ -50,12 +50,19 @@ class TestEigenCommand:
         assert "Bonnet-Myers" in err
 
     def test_tiny_diameter_exits_3(self, capsys):
-        # the unhinted guess (pi/D)^2 overflows here: the cap keeps the error typed
+        # mu = pi^2/D^2 overflows here: the unit-size level's mu cannot be scaled back
         code, out, err = run_cli(capsys, "eigen", "--diameter", "1e-300")
         assert code == 3
         assert out == ""
-        assert err == ("error: solver did not converge: phi' kept at most 0 sign changes "
-                       "up to sigma = 1e+12; input is ill-posed\n")
+        assert err == ("error: solver did not converge: mu = 22.00636858746592 * 4^996 "
+                       "is outside the double range\n")
+
+    def test_huge_diameter_exits_3(self, capsys):
+        # tol*D^2 overflows: mu = pi^2/D^2 would underflow to a bisection floor
+        code, out, err = run_cli(capsys, "eigen", "--diameter", "1e200")
+        assert code == 3
+        assert out == ""
+        assert "outside the double range" in err
 
     def test_determinism(self, capsys):
         _, out_a, _ = run_cli(capsys, "eigen", "--n", "5", "--kappa", "-0.5", "--diameter", "2")

@@ -256,6 +256,61 @@ class TestFirstEigenvalue:
             first_eigenvalue(ModelParams(2, 0.0, 1.0), 0.0)
 
 
+class TestScaleFree:
+    """Each level is solved at diameter m in [0.5, 1), D = m*2^e, and scaled back."""
+
+    @pytest.mark.parametrize("j", [5, 200])
+    def test_power_of_four_rescaling_is_exact(self, j):
+        # (kappa*4^j, D/2^j) at tol*4^j normalizes to the same unit problem
+        for params in spectrum_lattice(1):
+            base = first_eigenvalue(params, 1e-9)
+            scaled = ModelParams(params.n, math.ldexp(params.kappa, 2 * j),
+                                 math.ldexp(params.diameter, -j))
+            res = first_eigenvalue(scaled, math.ldexp(1e-9, 2 * j))
+            assert res.steps == base.steps
+            assert (res.mu, res.bracket_lo, res.bracket_hi) == tuple(
+                math.ldexp(v, 2 * j) for v in (base.mu, base.bracket_lo, base.bracket_hi)
+            )
+
+    def test_tiny_diameter_has_no_absolute_cap(self):
+        # a sigma cap in the caller's units refused mu = pi^2/D^2 ~ 9.87e12
+        res = first_eigenvalue(ModelParams(3, 0.0, 1e-6), 1.0)
+        assert abs(res.mu - math.pi**2 / 1e-12) < 1.0
+
+    def test_margin_triple_is_solved_as_given(self):
+        # kappa*D^2 sits 1e-10 under pi^2: the scaled Bonnet-Myers check is exact
+        res = first_eigenvalue(ModelParams(3, 0.37, 5.164746507244647), 1e-9)
+        assert res.mu == 1.11000000001758
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_strong_negative_curvature_has_no_false_pole(self):
+        # kappa*sk overflows while ck is finite: the quotient form saw a pole
+        try:
+            first_eigenvalue(ModelParams(21, -767198.46, 2.0523), 1e-9)
+        except NonConvergenceError:
+            pass
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    @pytest.mark.parametrize("diameter", [1e-300, 1e-160, 1e160, 1e200])
+    def test_out_of_range_is_a_typed_error(self, kappa, diameter):
+        with pytest.raises(NonConvergenceError, match="outside the double range"):
+            first_eigenvalue(ModelParams(3, kappa, diameter), 1e-9)
+
+    def test_tol_below_the_float_resolution_of_mu_raises(self):
+        # mu ~ 9.87e6 has ulp 1.86e-9: the levels cannot meet tol/4 = 2.5e-10
+        code = (
+            "from specgap import ModelParams, NonConvergenceError, first_eigenvalue\n"
+            "try:\n"
+            "    first_eigenvalue(ModelParams(2, 0.0, 1e-3), 1e-9)\n"
+            "except NonConvergenceError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10)
+        assert "float resolution" in proc.stdout
+
+
 def test_sphere_limit_eigenvalue():
     assert sphere_limit_eigenvalue(2, 1.0) == 2.0
     assert sphere_limit_eigenvalue(5, 0.25) == 1.25
@@ -791,8 +846,9 @@ class TestIllinoisLevel:
 
     @pytest.mark.parametrize("diameter", [1e-300, 1e-200, 1e-160])
     def test_tiny_diameter_raises_ill_posed(self, diameter):
-        # (pi/D)^2 overflows below D ~ 1.8e-154; the guess is capped instead
-        with pytest.raises(NonConvergenceError, match="up to sigma = 1e\\+12; input is ill-posed"):
+        # mu = pi^2/D^2 overflows below D ~ 2.3e-154: the unit-size level is
+        # solved, and scaling its mu back leaves the double range
+        with pytest.raises(NonConvergenceError, match="is outside the double range"):
             first_eigenvalue(ModelParams(3, 0.0, diameter), 1e-9)
 
     def test_unhinted_level_needs_a_third_of_the_bisection_trials(self):
