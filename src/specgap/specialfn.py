@@ -19,7 +19,9 @@ from .model import PoleError
 # across the seam (finite differencing through kappa = 0 relies on this).
 _SERIES_CUTOFF = 1e-8
 
-# tk reports a pole when |ck| falls below this fraction of max(1, |kappa*sk|).
+# tk reports a pole when |ck| falls below this fraction of
+# |sqrt(kappa)*sk| = |sin(sqrt(kappa)*s)|; both are unitless, so the test
+# reads the same at every scale of (kappa, s).
 _POLE_TOL = 1e-12
 
 
@@ -78,7 +80,7 @@ def tk_array(kappa: float, s: np.ndarray) -> np.ndarray:
         rt = math.sqrt(-kappa)
         return -rt * np.tanh(rt * s)
     c = ck_array(kappa, s)
-    w = kappa * sk_array(kappa, s)
-    if np.any(np.abs(c) < _POLE_TOL * np.maximum(1.0, np.abs(w))):
+    sine = sk_array(kappa, s)
+    if np.any(np.abs(c) < _POLE_TOL * np.abs(math.sqrt(kappa) * sine)):
         raise PoleError(f"tk_array(kappa={kappa}): a grid point sits on a pole")
-    return w / c
+    return kappa * sine / c

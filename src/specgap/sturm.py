@@ -2,25 +2,28 @@
 
 Two independent routes to the same number:
 
-* ``first_eigenvalue`` -- shooting.  One kernel, the fourth-order two-point
-  Gauss Magnus step (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 9,
-  2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), integrates
-  ``phi'' - (n-1)*tk*phi' + sigma*phi = 0``, ``phi(0) = 0``, ``phi'(0) = 1``
-  on [0, D/2] and counts sign changes of phi'.  By Sturm oscillation odd
-  Neumann mode j has exactly j of them, so the predicate "at most j changes"
-  holds below mode j and fails above it.  One bracketing loop narrows sigma
+* ``first_eigenvalue`` -- shooting.  One kernel, the sixth-order
+  three-point Gauss Magnus step Omega^[6] (Iserles, Munthe-Kaas, Norsett &
+  Zanna, Acta Numerica 9, 2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+  2009), integrates ``phi'' - (n-1)*tk*phi' + sigma*phi = 0``,
+  ``phi(0) = 0``, ``phi'(0) = 1`` on [0, D/2] and counts sign changes of
+  phi'.  A step outside the Magnus disc (h*max|a| > pi, a = (n-1)*tk)
+  takes the fourth-order two-point exponent in the same table columns.  By
+  Sturm oscillation odd Neumann mode j has exactly j of them, so the
+  predicate "at most j changes" holds below mode j and fails above it.  One bracketing loop narrows sigma
   by that predicate alone; its trial points are Illinois (safeguarded
   secant) steps on the endpoint value phi'(D/2), which is smooth in sigma
   and vanishes at the eigenvalue, with the midpoint as fallback.  Mode 0 is
   the eigenvalue: there phi' first vanishes at the endpoint, which is
-  exactly the Neumann condition of the weighted form.  The first grid
-  starts from the bracket (0, a curvature-scaled guess); from the third grid
-  on, each level starts from a tol/8 bracket around the h^4 prediction from
-  the two coarser levels.  One outward search, by doubling widths, moves any
-  starting bracket that misses, and sigma <= 0, where the predicate provably
-  holds, is never shot.  Grids double until the last delta is below tol/4
-  and the one before below 16*tol/4: one doubling shrinks an h^4 error at
-  most 16x, so the error left is about a fifteenth of the last delta.
+  exactly the Neumann condition of the weighted form.  The first grid, of
+  32 steps, starts from the bracket (0, a curvature-scaled guess); from the
+  third grid on, each level starts from a tol/8 bracket around the h^6
+  prediction from the two coarser levels.  One outward search, by doubling
+  widths, moves any starting bracket that misses, and sigma <= 0, where the
+  predicate provably holds, is never shot.  Grids double until the last
+  delta is below tol/4 and the one before below 64*tol/4: one doubling
+  shrinks an h^6 error at most 64x, so the error left is about a
+  sixty-third of the last delta.
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-count bisection on the zero-diagonal
@@ -53,10 +56,12 @@ from .specialfn import ck, sk, tk_array
 
 # Starting grid for the shooting integrator; refined by doubling until the
 # last refinement moves the eigenvalue by less than tol/4 and the one before
-# by less than 16*tol/4.  The Magnus step's h^4 law shrinks a delta at most
-# 16x per doubling, so the error left in the finest level is about
-# delta/15 < tol/60.
-_INITIAL_STEPS = 128
+# by less than 64*tol/4.  The sixth-order Magnus step's h^6 law shrinks a
+# delta at most 64x per doubling, so the error left in the finest level is
+# about delta/63 < tol/252.  At 32 steps every step of the benchmark
+# lattice lies inside the Magnus disc h*max|a| <= pi (its strongest-drift
+# point reaches about 2.6), so none takes the fourth-order fallback.
+_INITIAL_STEPS = 32
 _MAX_STEPS = 1 << 22
 
 # The sigma bracket is resolved to tol/8 so that the cross-grid Richardson
@@ -121,11 +126,27 @@ class EigenResult:
 def _shooting_grid(params: ModelParams, steps: int) -> tuple[float, tuple[list[float], ...]]:
     """(step h, the Magnus table) on the uniform grid of [0, D/2].
 
-    Step j of ``_shoot`` reads a = (n-1)*tk at its two Gauss points
-    j*h + h*(1/2 -+ sqrt(3)/6) through x = h*(a1 + a2)/4 and
-    k = (sqrt(3)/12)*h^2*(a1 - a2).  The table holds the sigma-free columns
-    x, x^2, e^x, h + k, k^2 - h^2 and k - h, one entry per step; e^x may
-    overflow to inf.
+    Step j of ``_shoot`` reads a = (n-1)*tk at its three Gauss points
+    j*h + h*(1/2 -+ sqrt(15)/10) and j*h + h/2, as D = a3 - a1,
+    S = a1 + a3 and M = a2.  Its sixth-order exponent Omega = x*I + N has
+    x = h*(8*M + 5*S)/36 and, with
+    P = h + h^3*(9*D^2 + 2*(4*M + S)*(2*M - S))/1296 and
+    E = sqrt(15)*D*h^2*(M*h^2*(4*M + S) - 360)/12960,
+
+        N11 = u1*sigma - x,     u1 = h^3*(80*(S - 2*M) - D^2*M*h^2)/4320,
+        N12 = v0 + v1*sigma,    v0 = P + E,  v1 = D*h^4*(D*h - 4*sqrt(15))/2160,
+        N21 = sigma*(w1 + w2*sigma),  w1 = E - P,  w2 = -D*h^4*(D*h + 4*sqrt(15))/2160.
+
+    The table holds the sigma-free columns x, u1, v0, v1, w1, w2 and e^x,
+    one entry per step; e^x may overflow to inf.  The Magnus series need
+    not converge on a step with h*max|a| > pi (Moan & Niesen, Found.
+    Comput. Math. 8, 2008), and there Omega's terms cubic in a make coarse
+    grids next to a pole of tk report spurious eigenvalues.  Such a step,
+    or one where a is not finite, takes the fourth-order two-point Gauss
+    exponent instead, in the same columns: a = (n-1)*tk at
+    j*h + h*(1/2 -+ sqrt(3)/6) gives x = h*(a1 + a2)/4 and
+    k = (sqrt(3)/12)*h^2*(a1 - a2), and u1 = v1 = w2 = 0, v0 = h + k,
+    w1 = k - h.
     """
     half = params.half_diameter
     if params.kappa > 0 and half >= math.pi / (2.0 * math.sqrt(params.kappa)):
@@ -133,16 +154,38 @@ def _shooting_grid(params: ModelParams, steps: int) -> tuple[float, tuple[list[f
             "integration interval [0, %g] contains a pole of tk at pi/(2*sqrt(kappa))" % half
         )
     h = half / steps
-    offset = math.sqrt(3.0) / 6.0
+    hh = h * h
+    r15 = math.sqrt(15.0)
     starts = np.arange(steps) * h
-    pts = np.empty(2 * steps)
-    pts[0::2] = starts + (0.5 - offset) * h
-    pts[1::2] = starts + (0.5 + offset) * h
+    pts = np.empty(3 * steps)
+    pts[0::3] = starts + (0.5 - 0.1 * r15) * h
+    pts[1::3] = starts + 0.5 * h
+    pts[2::3] = starts + (0.5 + 0.1 * r15) * h
     a = (params.n - 1) * tk_array(params.kappa, pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = (0.25 * h) * (a[0::2] + a[1::2])
-        k = (0.5 * offset * h * h) * (a[0::2] - a[1::2])
-        table = (x, x * x, np.exp(x), h + k, (k - h) * (k + h), k - h)
+        d, s, m = a[2::3] - a[0::3], a[0::3] + a[2::3], a[1::3]
+        x = (h / 36.0) * (8.0 * m + 5.0 * s)
+        u1 = (h * hh / 4320.0) * (80.0 * (s - 2.0 * m) - d * d * m * hh)
+        p = h + (h * hh / 1296.0) * (9.0 * d * d + 2.0 * (4.0 * m + s) * (2.0 * m - s))
+        e = (r15 * hh / 12960.0) * d * (m * hh * (4.0 * m + s) - 360.0)
+        dh4 = (hh * hh / 2160.0) * d
+        v1 = dh4 * (d * h - 4.0 * r15)
+        w2 = -dh4 * (d * h + 4.0 * r15)
+        v0, w1 = p + e, e - p
+        # the Magnus disc; a NaN or inf a lies outside it
+        outside = np.flatnonzero(~(h * np.max(np.abs(a).reshape(steps, 3), axis=1) <= math.pi))
+        if outside.size:
+            offset = math.sqrt(3.0) / 6.0
+            pts = np.empty(2 * outside.size)
+            pts[0::2] = starts[outside] + (0.5 - offset) * h
+            pts[1::2] = starts[outside] + (0.5 + offset) * h
+            b = (params.n - 1) * tk_array(params.kappa, pts)
+            k = (0.5 * offset * hh) * (b[0::2] - b[1::2])
+            x[outside] = (0.25 * h) * (b[0::2] + b[1::2])
+            u1[outside] = v1[outside] = w2[outside] = 0.0
+            v0[outside] = h + k
+            w1[outside] = k - h
+        table = (x, u1, v0, v1, w1, w2, np.exp(x))
     return h, tuple(column.tolist() for column in table)
 
 
@@ -157,10 +200,11 @@ def _shoot(
     """Magnus march from (phi, phi') = (0, 1); returns (sign changes of phi', end).
 
     The system y' = A*y, A = [[0, 1], [-sigma, a]], advances by the
-    fourth-order two-point Gauss Magnus step exp(Omega), with
-    Omega = (h/2)*(A1 + A2) + (sqrt(3)/12)*h^2*[A2, A1] = x*I + N and
-    N = [[-x, h + k], [sigma*(k - h), x]] in ``_shooting_grid``'s terms.
-    N^2 = d^2*I with d^2 = x^2 + sigma*(k^2 - h^2), so
+    sixth-order three-point Gauss Magnus step exp(Omega) of Blanes, Casas,
+    Oteo & Ros (Phys. Rep. 470, 2009), Omega = x*I + N with
+    N = [[N11, N12], [N21, -N11]] formed from ``_shooting_grid``'s columns
+    (fourth-order ones on a step outside the Magnus disc).
+    N^2 = d^2*I with d^2 = N11^2 + N12*N21, so
     exp(Omega) = e^x*(cosh(d)*I + (sinh(d)/d)*N): one expm1 for d^2 > 0, a
     cos and a sin for d^2 < 0.  The step is exact where a is constant.  A
     step whose exp(Omega) is not a float (expm1 or cos past its range) makes
@@ -184,8 +228,11 @@ def _shoot(
     count = 0
     i = 0
     try:
-        for x, xx, ex, hk, kh2, km in zip(*table):
-            d2 = xx + sigma * kh2
+        for x, u1, v0, v1, w1, w2, ex in zip(*table):
+            n11 = u1 * sigma - x
+            n12 = v0 + v1 * sigma
+            n21 = sigma * (w1 + w2 * sigma)
+            d2 = n11 * n11 + n12 * n21
             if d2 < 0.0:
                 w = sqrt(-d2)
                 c = ex * cos(w)
@@ -198,8 +245,8 @@ def _shoot(
                 s = 0.5 * ex * em * (1.0 + inv) / d
             else:
                 c = s = ex
-            xs = x * s
-            phi, dphi = (c - xs) * phi + hk * s * dphi, sigma * km * s * phi + (c + xs) * dphi
+            ns = n11 * s
+            phi, dphi = (c + ns) * phi + n12 * s * dphi, n21 * s * phi + (c - ns) * dphi
             if record:
                 i += 1
                 phis[i] = phi
@@ -222,11 +269,12 @@ def _shoot(
 
 
 def integrate_phi(params: ModelParams, sigma: float, steps: int) -> PhiTrajectory:
-    """Integrate the shooting IVP with fourth-order Magnus steps.
+    """Integrate the shooting IVP with sixth-order Magnus steps.
 
     Runs the shooting kernel over the whole of [0, D/2] and records (phi,
-    phi') at every node.  The odd extension of the solution covers [-D/2, 0],
-    so integrating the right half suffices.
+    phi') at every node; a step outside the Magnus disc is fourth-order
+    (``_shooting_grid``), as in ``first_eigenvalue``.  The odd extension of
+    the solution covers [-D/2, 0], so integrating the right half suffices.
     """
     if steps < 16:
         raise InvalidParamsError(f"steps must be >= 16, got {steps}")
@@ -367,16 +415,19 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
 
     The sigma bracket is narrowed to tol/8 (``_bisect_level``: Illinois steps
     on phi'(D/2), each decided by the predicate) on successively doubled
-    integration grids.  Level k is accepted once |mu_k - mu_(k-1)| < tol/4
-    and |mu_(k-1) - mu_(k-2)| < 16*tol/4.  Under the Magnus step's h^4 error
-    law one doubling shrinks a delta at most 16x, so the second test rejects
-    a last delta that is small by accident, and the error left in mu_k is
-    about |mu_k - mu_(k-1)|/15, under tol/60.  The reported value is the raw
+    integration grids from ``_INITIAL_STEPS`` = 32.  Level k is accepted once
+    |mu_k - mu_(k-1)| < tol/4 and |mu_(k-1) - mu_(k-2)| < 64*tol/4.  Under
+    the sixth-order Magnus step's h^6 error law one doubling shrinks a delta
+    at most 64x, so the second test rejects a last delta that is small by
+    accident, and the error left in mu_k is about |mu_k - mu_(k-1)|/63,
+    under tol/252.  Steps outside the Magnus disc take fourth-order
+    exponents (``_shooting_grid``); they keep coarse levels near a pole of
+    tk close to the eigenvalue.  The reported value is the raw
     finest level, so it carries both a proved bracket and a grid-convergence
     check.  ``levels`` records every level.  The first level starts from the
     hint (0, a curvature-scaled guess), the second from the first bracket
     widened by a margin.  Later levels start from a bracket just under tol/8 wide
-    centred on mu_k + (mu_k - mu_(k-1))/16, the next value that the h^4
+    centred on mu_k + (mu_k - mu_(k-1))/64, the next value that the h^6
     error law predicts.  ``_bisect_level`` steps outward from a hint that misses, by
     doubling widths, without shooting sigma <= 0, and the predicate alone
     decides every trial.  A zero of phi' at the endpoint counts as predicate
@@ -400,14 +451,14 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
         if (
             len(levels) >= 3
             and abs(mu - levels[-2].mu) < tol / 4
-            and abs(levels[-2].mu - levels[-3].mu) < 16 * tol / 4
+            and abs(levels[-2].mu - levels[-3].mu) < 64 * tol / 4
         ):
             return EigenResult(mu, lo, hi, steps, tuple(levels))
         if len(levels) >= 2:
-            # the h^4 error falls 16x per doubling: predict the next level.  Two
+            # the h^6 error falls 64x per doubling: predict the next level.  Two
             # ulps less than tol_sigma/2 keep the rounded hint within
             # tol_sigma, so a hint that holds the eigenvalue needs no trial.
-            guess = mu + (mu - levels[-2].mu) / 16.0
+            guess = mu + (mu - levels[-2].mu) / 64.0
             half = max(0.5 * tol_sigma - 2.0 * math.ulp(guess), 0.0)
             hint = (guess - half, guess + half)
         else:

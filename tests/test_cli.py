@@ -54,7 +54,7 @@ class TestEigenCommand:
         code, out, err = run_cli(capsys, "eigen", "--diameter", "1e-300")
         assert code == 3
         assert out == ""
-        assert err == ("error: solver did not converge: mu = 22.00636858746592 * 4^996 "
+        assert err == ("error: solver did not converge: mu = 22.006368587465907 * 4^996 "
                        "is outside the double range\n")
 
     def test_huge_diameter_exits_3(self, capsys):

@@ -117,3 +117,13 @@ def test_tk_finite_past_cosh_overflow(kappa):
 def test_tk_array_pole_detection():
     with pytest.raises(PoleError):
         tk_array(1.0, np.linspace(0.0, math.pi / 2, 9))
+
+
+@pytest.mark.parametrize("j", [0, 100, 200])
+def test_tk_array_pole_test_is_scale_free(j):
+    # (kappa*4^j, s/2^j): tk scales by 2^j exactly, and the pole stays a pole
+    s = np.linspace(0.0, 1.5, 7)
+    scaled = tk_array(math.ldexp(1.0, 2 * j), np.ldexp(s, -j))
+    np.testing.assert_array_equal(np.ldexp(scaled, -j), tk_array(1.0, s))
+    with pytest.raises(PoleError):
+        tk_array(math.ldexp(1.0, 2 * j), np.array([math.ldexp(math.pi / 2, -j)]))

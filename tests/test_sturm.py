@@ -2,6 +2,7 @@ import importlib.util
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -186,12 +187,12 @@ class TestFirstEigenvalue:
                 assert abs(mu - oracle) / mu < 1e-6
 
     @pytest.mark.parametrize("seed", [1, 2, None])
-    def test_accepted_level_is_the_first_that_meets_the_h4_rule(self, seed):
+    def test_accepted_level_is_the_first_that_meets_the_h6_rule(self, seed):
         tol = 1e-9
         for params in spectrum_lattice(seed) if seed else TestIllinoisLevel.NAMED:
             res = first_eigenvalue(params, tol)
             levels = res.levels
-            assert [level.steps for level in levels] == [128 << k for k in range(len(levels))]
+            assert [level.steps for level in levels] == [32 << k for k in range(len(levels))]
             assert levels[-1] == (res.steps, res.mu, res.bracket_lo, res.bracket_hi, res.iterations)
             assert res.evaluations == sum(level.evaluations for level in levels)
             assert all(level.lo <= level.mu <= level.hi for level in levels)
@@ -200,14 +201,15 @@ class TestFirstEigenvalue:
                 k
                 for k in range(2, len(mus))
                 if abs(mus[k] - mus[k - 1]) < tol / 4
-                and abs(mus[k - 1] - mus[k - 2]) < 16 * tol / 4
+                and abs(mus[k - 1] - mus[k - 2]) < 64 * tol / 4
             ]
             assert accepted == [len(mus) - 1]
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0])
-    def test_h4_rule_stops_at_512_steps(self, kappa):
-        # two deltas under tol/4 asked for 1024 steps at the CLI default kappa = 0
-        assert first_eigenvalue(ModelParams(3, kappa, 2.0), 1e-9).steps == 512
+    def test_h6_rule_stops_at_128_steps(self, kappa):
+        # both deltas are under 1e-10 from 32 steps on: the third level, the
+        # first the rule can accept, is the reported one
+        assert first_eigenvalue(ModelParams(3, kappa, 2.0), 1e-9).steps == 128
 
     def test_drift_point_accepts_a_coarse_grid(self):
         # strong drift, (n-1)*tk down to about -55: accepted by 1024 steps
@@ -221,7 +223,7 @@ class TestFirstEigenvalue:
 
     def test_near_bonnet_myers_returns_in_bounded_time(self):
         # tk's pole lies just past D/2 and the Magnus step loses order there:
-        # the finest grid is 2^17 steps, under a second for each point
+        # the finest grid is 2^16 steps, under a second for each point
         code = (
             "import math\n"
             "from specgap import ModelParams, first_eigenvalue\n"
@@ -280,7 +282,7 @@ class TestScaleFree:
     def test_margin_triple_is_solved_as_given(self):
         # kappa*D^2 sits 1e-10 under pi^2: the scaled Bonnet-Myers check is exact
         res = first_eigenvalue(ModelParams(3, 0.37, 5.164746507244647), 1e-9)
-        assert res.mu == 1.11000000001758
+        assert res.mu == 1.1100000000567114
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_strong_negative_curvature_has_no_false_pole(self):
@@ -345,6 +347,14 @@ class TestFdOracle:
     def test_gridpoints_validated(self):
         with pytest.raises(InvalidParamsError):
             sl_fd_oracle(ModelParams(2, 0.0, 1.0), 32)
+
+    @pytest.mark.parametrize("j", [20, 100, 200])
+    def test_pole_test_is_scale_free(self, j):
+        # (kappa*4^j, D/2^j) is the base problem with every sigma scaled by 4^j;
+        # a pole test against kappa*sk saw poles there from j ~ 100 on
+        base = sl_fd_oracle(ModelParams(3, 0.5, 3.0), 64)
+        scaled = sl_fd_oracle(ModelParams(3, math.ldexp(0.5, 2 * j), math.ldexp(3.0, -j)), 64)
+        assert math.ldexp(scaled, -2 * j) == pytest.approx(base, rel=1e-12)
 
     def test_large_diameter_weights_do_not_overflow(self):
         # ck^(n-1) overflows at D = 800; the flux factor must not
@@ -682,9 +692,12 @@ def test_pole_guard_in_integrator():
         integrate_phi(params, 1.0, steps=64)
 
 
-def reference_step(sigma, x, xx, ex, hk, kh2, km):
+def reference_step(sigma, x, u1, v0, v1, w1, w2, ex):
     """The Magnus step exp(Omega) of one table row, as (p11, p12, p21, p22)."""
-    d2 = xx + sigma * kh2
+    n11 = u1 * sigma - x
+    n12 = v0 + v1 * sigma
+    n21 = sigma * (w1 + w2 * sigma)
+    d2 = n11 * n11 + n12 * n21
     if d2 < 0.0:
         w = math.sqrt(-d2)
         c = ex * math.cos(w)
@@ -697,7 +710,7 @@ def reference_step(sigma, x, xx, ex, hk, kh2, km):
         s = 0.5 * ex * em * (1.0 + inv) / d
     else:
         c = s = ex
-    return c - x * s, hk * s, sigma * km * s, c + x * s
+    return c + n11 * s, n12 * s, n21 * s, c - n11 * s
 
 
 def reference_count(params: ModelParams, sigma: float, steps: int, mode: int) -> int:
@@ -759,12 +772,12 @@ def reference_eigenvalue(params: ModelParams, tol: float):
     Each level bisects to tol/1024, so its mu reads the grid eigenvalue
     rather than a point up to tol/16 off it.
     """
-    steps, hint, mus = 128, None, []
+    steps, hint, mus = 32, None, []
     while True:
         mu, lo, hi, _ = reference_level(params, tol / 1024.0, steps, hint)
         mus.append(mu)
         deltas = [abs(b - a) for a, b in zip(mus[:-1], mus[1:])]
-        if len(deltas) >= 2 and deltas[-1] < tol / 4 and deltas[-2] < 16 * tol / 4:
+        if len(deltas) >= 2 and deltas[-1] < tol / 4 and deltas[-2] < 64 * tol / 4:
             return lo, hi, steps
         margin = max(64.0 * tol, 1e-6 * max(1.0, abs(mu)))
         hint = (lo - margin, hi + margin)
@@ -974,6 +987,93 @@ def reference_sv_count(c2, x):
         if q < 0.0:
             count += 1
     return count
+
+
+def reference_exponent(params: ModelParams, steps: int, sigma: float) -> list[np.ndarray]:
+    """Omega of every step from its commutator form, as 2x2 numpy matrices.
+
+    Sixth order (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009, three
+    Gauss points) where h*max|a| <= pi at those points, fourth order (two
+    Gauss points) elsewhere.
+    """
+    h = params.half_diameter / steps
+
+    def a(t):
+        return (params.n - 1) * tk(params.kappa, t)
+
+    def mat(t):
+        return np.array([[0.0, 1.0], [-sigma, a(t)]])
+
+    def comm(p, q):
+        return p @ q - q @ p
+
+    omegas = []
+    for j in range(steps):
+        r = math.sqrt(15.0) / 10.0
+        nodes = [j * h + (0.5 - r) * h, j * h + 0.5 * h, j * h + (0.5 + r) * h]
+        if h * max(abs(a(t)) for t in nodes) <= math.pi:
+            a1, a2, a3 = map(mat, nodes)
+            b1 = h * a2
+            b2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
+            b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+            c1 = comm(b1, b2)
+            c2 = -comm(b1, 2.0 * b3 + c1) / 60.0
+            omegas.append(b1 + b3 / 12.0 + comm(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
+        else:
+            r = math.sqrt(3.0) / 6.0
+            a1, a2 = mat(j * h + (0.5 - r) * h), mat(j * h + (0.5 + r) * h)
+            omegas.append(0.5 * h * (a1 + a2) + (r / 2.0) * h * h * comm(a2, a1))
+    return omegas
+
+
+class TestSixthOrderKernel:
+    """Omega^[6] from a 32-step start, with fourth-order steps outside the Magnus disc."""
+
+    NEAR_POLE = ModelParams(80, 1.0, math.pi * (1.0 - 1e-10))
+
+    @pytest.mark.parametrize(
+        "params, steps",
+        [(ModelParams(3, -1.0, 2.0), 32), (ModelParams(8, -81.45, 0.3007), 32),
+         (ModelParams(9, 12.01, 0.8362), 64), (NEAR_POLE, 32), (ModelParams(2, 1.0, 3.14), 64)],
+        ids=lambda v: "%g,%g,%g" % (v.n, v.kappa, v.diameter) if isinstance(v, ModelParams) else v,
+    )
+    def test_table_is_the_magnus_exponent(self, params, steps):
+        # Omega is quadratic in sigma: three sigmas pin every column
+        _, table = _shooting_grid(params, steps)
+        for sigma in (0.5, 7.0, 300.0):
+            for row, omega in zip(zip(*table), reference_exponent(params, steps, sigma)):
+                x, u1, v0, v1, w1, w2, ex = row
+                n11 = u1 * sigma - x
+                got = np.array([[x + n11, v0 + v1 * sigma], [sigma * (w1 + w2 * sigma), x - n11]])
+                scale = np.max(np.abs(omega))
+                np.testing.assert_allclose(got, omega, rtol=0, atol=1e-14 * scale)
+                assert ex == pytest.approx(math.exp(x), rel=1e-15)
+
+    def test_near_pole_grid_mixes_both_orders(self):
+        # a = 79*tan(s) on h = pi/64: from step 13 of 32 on, h*max|a| > pi
+        _, table = _shooting_grid(self.NEAR_POLE, 32)
+        fallback = [u1 == v1 == w2 == 0.0 for u1, v1, w2 in zip(table[1], table[3], table[5])]
+        assert fallback == [False] * 13 + [True] * 19
+
+    def test_drift_free_level_is_exact_on_32_steps(self):
+        # at kappa = 0 every commutator column is 0 and each step is a rotation
+        mu = _bisect_level(ModelParams(3, 0.0, 2.0), 1e-13, 32, None)[0]
+        assert abs(mu - math.pi**2 / 4.0) < 1e-12
+
+    def test_level_error_falls_as_h6(self):
+        params = ModelParams(9, 12.01, 0.836)
+        fine = _bisect_level(params, 1e-14, 4096, None)[0]
+        errors = [abs(_bisect_level(params, 1e-14, m, None)[0] - fine) for m in (32, 64, 128)]
+        # 64x per doubling is the h^6 law; the fourth-order step gave 16x
+        assert errors[0] > 40.0 * errors[1] > 1600.0 * errors[2]
+
+    def test_fallback_keeps_coarse_levels_near_the_pole(self):
+        # pure Omega^[6] read 0.119, 0.476, 1.90, ... here at 32, 64, 128 steps
+        start = time.perf_counter()
+        res = first_eigenvalue(self.NEAR_POLE, 1e-9)
+        assert time.perf_counter() - start < 1.0
+        assert all(abs(level.mu - 80.0) < 1e-5 * 80.0 for level in res.levels)
+        assert abs(res.mu - 80.0) < 1e-9
 
 
 class TestScalarKernels:
