@@ -27,16 +27,18 @@ Two independent routes to the same number:
 * ``sl_fd_oracle`` -- a finite-volume discretization of the weight form
   ``-(w*phi')'/w`` with ``w = ck^(n-1)`` on [-D/2, D/2], Neumann via ghost
   reflection, solved by Sturm-count bisection on the zero-diagonal
-  Golub-Kahan tridiagonal of its bidiagonal factor.  Every solve is a rung
-  of one ladder (``_fd_ladder``) of grids g/8 (above 64 cells), g, 2g, ...:
-  the first rung above 64 cells starts from a rough 64-cell value, and each
-  later one from the h^2-law extrapolation of the two values below it.
-  Newton on the same recurrence polishes that guess into a value that
-  decides every bisection midpoint, and two Sturm counts at the ends of the
-  final interval prove all of those decisions (the count is monotone).
-  Every bisection decision, and so every returned value, is bit for bit
-  that of the plain bisection.  Serves as a cross-check oracle for the
-  shooting route and never reads its result.
+  Golub-Kahan tridiagonal of its bidiagonal factor, on the one of its two
+  half-size blocks (it is symmetric under s -> -s) that holds the mode.
+  Every solve is a rung of one ladder (``_fd_ladder``) of grids about g/8
+  (above 64 cells), g, 2g, ...: the first rung above 64 cells starts from
+  a rough 64-cell value, and each later one from the h^2-law extrapolation
+  of the two values below it.  Newton on the same recurrence polishes that
+  guess into a value that decides every bisection midpoint, and two Sturm
+  counts at the ends of the final interval, plus one of the other block,
+  prove all of those decisions (the count is monotone).  Every bisection
+  decision, and so every returned value, is bit for bit that of the plain
+  bisection on the summed block counts.  Serves as a cross-check oracle for
+  the shooting route and never reads its result.
 
 The two forms agree because ``(ck^(n-1))'/ck^(n-1) = -(n-1)*tk``.
 ``seeded_odd_initial_data`` builds generic evolution data from the shooting
@@ -515,35 +517,38 @@ def seeded_odd_initial_data(
 
 
 def _fd_flux_factor(params: ModelParams, gridpoints: int) -> np.ndarray:
-    """Golub-Kahan off-diagonal sequence of the discrete operator.
+    """Right half c of the palindromic Golub-Kahan off-diagonals of the operator.
 
-    ``gridpoints`` counts cells on [-D/2, D/2] (so doubling it halves the
-    spacing exactly, which Richardson pairing and order checks rely on).  The
-    fluxes use midpoint weights wm, the node masses are w = ck^(n-1), halved
-    in the end cells (Neumann closure by ghost reflection).
+    ``gridpoints`` (even) counts cells on [-D/2, D/2] (so doubling it halves
+    the spacing exactly, which Richardson pairing and order checks rely on).
+    The fluxes use midpoint weights wm, the node masses are w = ck^(n-1),
+    halved in the end cells (Neumann closure by ghost reflection).
 
     The stiffness matrix factors as K = B^T diag(wm)/dx^2 B with B the
     bidiagonal difference matrix, so the symmetrized operator is G^T G with a
     bidiagonal G.  Its nonzero eigenvalues are squared singular values of G,
     and the zero-diagonal Golub-Kahan tridiagonal of G allows a Sturm count
     without subtracting the O(1) shift from O(1/dx^2) diagonal entries -- the
-    cancellation that otherwise floors absolute accuracy at eps*||A||.
-    Returns the interleaved |G[i,i]|, |G[i,i+1]| = sqrt(wm/mass)/dx.  Only the
+    cancellation that otherwise floors absolute accuracy at eps*||A||.  Its
+    off-diagonals |G[i,i]|, |G[i,i+1]| = sqrt(wm/mass)/dx form the palindrome
+    c[::-1] + c (tk is odd); c comes from the nodes i*dx, i <= gridpoints/2.
+    The matrix splits exactly (Cantoni & Butler, Linear Algebra Appl. 13,
+    1976) into an odd block, off-diagonals c[1:], and an even one,
+    [sqrt(2)*c[0], *c[1:]], which holds the constant mode's zero.  Only the
     ratios ck(x +- e)/ck(x) = ck(e) -+ tk(x)*sk(e) enter, never w itself,
     which overflows for kappa < 0 and large D.
     """
-    d = params.diameter
-    dx = d / gridpoints
-    x = -0.5 * d + np.arange(gridpoints + 1) * dx
+    dx = params.diameter / gridpoints
+    x = np.arange(gridpoints // 2 + 1) * dx
     kappa = params.kappa
     p = params.n - 1
     e = 0.5 * dx
     cke = ck(kappa, e)
     tsk = tk_array(kappa, x) * sk(kappa, e)
-    c = np.empty(2 * gridpoints)
+    c = np.empty(gridpoints)
     c[0::2] = np.sqrt((cke - tsk[:-1]) ** p) / dx
     c[1::2] = np.sqrt((cke + tsk[1:]) ** p) / dx
-    c[[0, -1]] *= math.sqrt(2.0)  # half mass in the end cells
+    c[-1] *= math.sqrt(2.0)  # half mass in the end cell
     return c
 
 
@@ -603,9 +608,11 @@ def _fd_solve(
 ) -> float:
     """index-th smallest singular value (1-based) of the bidiagonal factor.
 
-    For x > 0 the Golub-Kahan tridiagonal (one row/column per node and per
-    cell) has ``gridpoints`` negative eigenvalues and one zero below x, so
-    sigma_k < x exactly when the Sturm count reaches gridpoints + 1 + k.
+    For x > 0 the Golub-Kahan tridiagonal has ``gridpoints`` negative
+    eigenvalues and one zero below x, so sigma_k < x exactly when its Sturm
+    count, the sum of its two blocks' (``_fd_flux_factor``), reaches
+    gridpoints + 1 + k.  Odd k lies in the odd block and even k in the even
+    one, and the solve counts that block alone.
 
     The bisection runs from [0, 2*max c] to a relative width of 1e-14, or
     until lo and hi are adjacent floats.  A midpoint at or below a proved
@@ -613,18 +620,22 @@ def _fd_solve(
     count makes its point a proved one.  Newton polishes ``guess`` into x, and
     while x is set it decides every other midpoint ("above" when above x).
     The count is monotone in x, so counts at the two ends of the final
-    interval prove all of those decisions at once: every decision, and the
-    returned value, is then bit for bit that of the plain bisection.  A
-    failed end is itself proved, and the pass repeats with x moved onto it,
-    at most 4 times.  After that x is cleared, the bracket [x - w, x + w]
-    around its last place (w = 4e-14*x, widened 4x up to three times) adds
-    its proved points, and one last pass counts every undecided midpoint;
-    without a usable guess that pass runs alone.  A ``rough`` solve, only
-    ever a guess, stops once lo > 0 and hi - lo <= 1e-6*lo.
+    interval prove all of those decisions at once.  A failed end is itself
+    proved, and the pass repeats with x moved onto it, at most 4 times.
+    After that x is cleared, the bracket [x - w, x + w] around its last place
+    (w = 4e-14*x, widened 4x up to three times) adds its proved points, and
+    one last pass counts every undecided midpoint; without a usable guess
+    that pass runs alone.  A count of the other block at the final hi then
+    proves every decision, and the value, bit for bit that of the plain
+    bisection on the summed counts, or raises NonConvergenceError.  A
+    ``rough`` solve, only ever a guess, skips it and stops once lo > 0 and
+    hi - lo <= 1e-6*lo.
     """
     c = _fd_flux_factor(params, gridpoints)
     c2 = (c * c).tolist()
-    want = gridpoints + 1 + index
+    odd, even = c2[1:], [2.0 * c2[0], *c2[1:]]  # g/2 and g/2 + 1 eigenvalues <= 0
+    c2, other = (odd, even) if index % 2 else (even, odd)
+    want = gridpoints // 2 + index // 2 + 1
     top = 2.0 * float(np.max(c))
     below, above = 0.0, top  # count(below) < want <= count(above) once either moves
     x = math.nan if guess is None else _newton_singular_value(c2, guess)
@@ -676,6 +687,8 @@ def _fd_solve(
                 if not above_root(center - w) and above_root(center + w):
                     break
                 w *= 4.0
+    if not rough and _sv_count(other, hi) != gridpoints + 1 + index - want:
+        raise NonConvergenceError(f"FD oracle: the other block's count at {hi!r} is wrong")
     return 0.5 * (lo + hi)
 
 
@@ -692,20 +705,20 @@ def _h2_law(s_c: float, s_g: float, r: float, k: float) -> float:
 def _fd_ladder(params: ModelParams, gridpoints: int, index: int, rungs: int) -> list[float]:
     """The index-th singular value on gridpoints*2^k cells, for k < ``rungs``.
 
-    The solves climb one ladder: gridpoints//8 cells when that is above 64,
-    then the requested grids.  The first rung above 64 cells is seeded by a
-    ``rough`` 64-cell value (a ladder that starts at 64 cells solves that
-    rung unseeded), and each later rung by ``_h2_law`` through the two
-    values below it: at gridpoints = 2048 on the benchmark lattice the guess
-    is within 1e-6 relative at 2048 cells and about 1e-9 at 4096.  A guess
-    saves only Sturm counts, and no value depends on it.  A value whose
-    square is not finite and positive raises NonConvergenceError.
+    The solves climb one ladder: 2*(gridpoints//16) cells when that is above
+    64, then the requested (even) grids.  The first rung above 64 cells is
+    seeded by a ``rough`` 64-cell value (a ladder that starts at 64 cells
+    solves that rung unseeded), and each later rung by ``_h2_law`` through
+    the two values below it: at gridpoints = 2048 on the benchmark lattice
+    the guess is within 1e-6 relative at 2048 cells and about 1e-9 at 4096.
+    A guess saves only Sturm counts, and no value depends on it.  A value
+    whose square is not finite and positive raises NonConvergenceError.
     """
-    if gridpoints < 64:
-        raise InvalidParamsError(f"gridpoints must be >= 64, got {gridpoints}")
+    if gridpoints < 64 or gridpoints % 2:
+        raise InvalidParamsError(f"gridpoints must be an even cell count >= 64, got {gridpoints}")
     cells = [gridpoints * 2**k for k in range(rungs)]
-    if gridpoints // 8 > 64:
-        cells.insert(0, gridpoints // 8)
+    if 2 * (gridpoints // 16) > 64:
+        cells.insert(0, 2 * (gridpoints // 16))
     values = []
     if cells[0] > 64:
         cells.insert(0, 64)
@@ -735,6 +748,7 @@ def sl_fd_oracle(params: ModelParams, gridpoints: int) -> float:
     i.e. the second-smallest eigenvalue of the discrete Neumann operator (the
     smallest is zero on constants by construction, and is excluded here as
     the structural null space of the bidiagonal factorization).
+    ``gridpoints`` must be even and at least 64.
     """
     sigma = _fd_singular_value(params, gridpoints, 1)
     return sigma * sigma

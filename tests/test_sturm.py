@@ -348,6 +348,28 @@ class TestFdOracle:
         with pytest.raises(InvalidParamsError):
             sl_fd_oracle(ModelParams(2, 0.0, 1.0), 32)
 
+    @pytest.mark.parametrize("oracle", [sl_fd_oracle, sl_fd_oracle_extrapolated])
+    @pytest.mark.parametrize("gridpoints", [65, 2049])
+    def test_odd_gridpoints_are_refused(self, oracle, gridpoints):
+        # an odd cell count has no center node, so the matrix has no halves
+        with pytest.raises(InvalidParamsError, match="even"):
+            oracle(ModelParams(3, 0.0, 2.0), gridpoints)
+
+    def test_seed_rung_is_even(self, monkeypatch):
+        # 1000 cells are seeded from 124 (1000 // 8 = 125 is odd), and those
+        # from a rough 64-cell value
+        lengths = set()
+
+        def spy(c2, x):
+            lengths.add(len(c2))
+            return _sv_count(c2, x)
+
+        monkeypatch.setattr(specgap.sturm, "_sv_count", spy)
+        params = ModelParams(3, -1.0, 2.0)
+        value = _fd_singular_value(params, 1000, 1)
+        assert lengths == {63, 123, 124, 999, 1000}
+        assert value == reference_singular_value(params, 1000, 1)
+
     @pytest.mark.parametrize("j", [20, 100, 200])
     def test_pole_test_is_scale_free(self, j):
         # (kappa*4^j, D/2^j) is the base problem with every sigma scaled by 4^j;
@@ -402,20 +424,41 @@ class TestFdOracle:
         assert val == pytest.approx(2.973918473714297e-41, rel=1e-10)
 
 
-def reference_singular_value(params: ModelParams, gridpoints: int, index: int) -> float:
-    """The oracle's plain bisection: one Sturm count at every midpoint."""
-    c = _fd_flux_factor(params, gridpoints)
+def fd_blocks(c: np.ndarray) -> tuple[list[float], list[float]]:
+    """Squared off-diagonals of the odd and even blocks of the palindrome c[::-1] + c.
+
+    Antisymmetric vectors vanish at the center row, which leaves c[1:];
+    symmetric ones see 2*c[0] into the center row and c[0] out of it, which
+    the even block symmetrizes into sqrt(2)*c[0].
+    """
     c2 = (c * c).tolist()
-    want = gridpoints + 1 + index
+    return c2[1:], [2.0 * c2[0], *c2[1:]]
+
+
+def plain_bisection(c: np.ndarray, blocks: list[list[float]], want: int) -> float:
+    """Bisection from [0, 2*max c], counting every block at every midpoint."""
     lo = 0.0
     hi = 2.0 * float(np.max(c))
     while hi - lo > 1e-14 * hi:
         mid = 0.5 * (lo + hi)
-        if _sv_count(c2, mid) >= want:
+        if sum(_sv_count(c2, mid) for c2 in blocks) >= want:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def reference_singular_value(params: ModelParams, gridpoints: int, index: int) -> float:
+    """The oracle's plain bisection on the summed counts of its two blocks."""
+    c = _fd_flux_factor(params, gridpoints)
+    return plain_bisection(c, list(fd_blocks(c)), gridpoints + 1 + index)
+
+
+def full_matrix_singular_value(params: ModelParams, gridpoints: int, index: int) -> float:
+    """Plain bisection on the full palindromic Golub-Kahan tridiagonal."""
+    c = _fd_flux_factor(params, gridpoints)
+    full = np.concatenate([c[::-1], c])
+    return plain_bisection(c, [(full * full).tolist()], gridpoints + 1 + index)
 
 
 def spectrum_lattice(seed: int) -> list[ModelParams]:
@@ -473,20 +516,29 @@ class TestFdBracket:
     )
     @pytest.mark.parametrize("gridpoints", [64, 256, 2048, 4096])
     def test_fixed_points_and_modes_bitwise(self, params, gridpoints):
-        for index in (1, 3, 5):
+        for index in range(1, 6):
             reference = reference_singular_value(params, gridpoints, index)
             assert _fd_singular_value(params, gridpoints, index) == reference
             if index == 1:
                 assert sl_fd_oracle(params, gridpoints) == reference * reference
 
-    def fine_counts(self, monkeypatch, gridpoints: int) -> list[tuple[float, bool]]:
-        """(x, sigma_1 < x) for each Sturm count on the finest grid."""
+    def fine_counts(
+        self, monkeypatch, gridpoints: int, index: int = 1
+    ) -> list[tuple[float, bool]]:
+        """(x, sigma_index < x) for each Sturm count on the finest grid's block of that mode.
+
+        Odd modes live in the odd block (gridpoints - 1 entries, gridpoints/2
+        negative eigenvalues), even ones in the even block (gridpoints
+        entries, one more eigenvalue at or below zero).
+        """
         points = []
+        length = gridpoints - index % 2
+        want = gridpoints // 2 + index // 2 + 1
 
         def spy(c2, x):
             count = _sv_count(c2, x)
-            if len(c2) == 2 * gridpoints:
-                points.append((x, count >= gridpoints + 2))
+            if len(c2) == length:
+                points.append((x, count >= want))
             return count
 
         monkeypatch.setattr(specgap.sturm, "_sv_count", spy)
@@ -534,8 +586,8 @@ class TestFdBracket:
             specgap.sturm, "_newton_singular_value", lambda c2, x: factor * newton(c2, x)
         )
         for gridpoints in (256, 2048):
-            points = self.fine_counts(monkeypatch, gridpoints)
-            for index in (1, 3):
+            for index in (1, 2, 3):
+                points = self.fine_counts(monkeypatch, gridpoints, index)
                 reference = reference_singular_value(params, gridpoints, index)
                 points.clear()
                 assert specgap.sturm._fd_solve(params, gridpoints, index, None) == reference
@@ -555,28 +607,29 @@ class TestFdBracket:
         assert guess_counts < 30 < len(points)
 
     def test_unconverged_newton_is_nan(self, monkeypatch):
-        # the rough 64-cell guess for index 3 on (10, -1, 20) is 3.781, where
-        # the 256-cell sigma_3 is 3.745: six Newton steps end near 2.272 (no
-        # singular value) without meeting the stop
+        # the rough 64-cell guess for index 4 on (10, -1, 20) is 4.353, where
+        # the 256-cell sigma_4 is 4.252: six Newton steps on the even block
+        # (which holds it) do not meet the stop
         params = ModelParams(10, -1.0, 20.0)
-        rough = specgap.sturm._fd_solve(params, 64, 3, None, rough=True)
-        c = _fd_flux_factor(params, 256)
-        assert math.isnan(specgap.sturm._newton_singular_value((c * c).tolist(), rough))
+        rough = specgap.sturm._fd_solve(params, 64, 4, None, rough=True)
+        _, even = fd_blocks(_fd_flux_factor(params, 256))
+        assert math.isnan(specgap.sturm._newton_singular_value(even, rough))
         # so the solve takes the counted pass alone, as without a guess
-        points = self.fine_counts(monkeypatch, 256)
-        reference = specgap.sturm._fd_solve(params, 256, 3, None)
+        points = self.fine_counts(monkeypatch, 256, 4)
+        reference = specgap.sturm._fd_solve(params, 256, 4, None)
         plain = len(points)
         points.clear()
-        assert _fd_singular_value(params, 256, 3) == reference
+        assert _fd_singular_value(params, 256, 4) == reference
         assert len(points) == plain
 
     @pytest.mark.parametrize("gridpoints", [2048, 64, 256])
     def test_fine_solve_is_seeded_by_the_coarse_one(self, monkeypatch, gridpoints):
-        # every ladder stays at or above 64 cells (c2 holds two entries per cell)
+        # every ladder stays at or above 64 cells; on g cells the odd block
+        # holds g - 1 entries and the even block, counted once, g
         expected = {
-            2048: {128, 512, 4096, 8192},  # 64 (rough) -> 256 -> 2048 -> 4096 cells
-            64: {128, 256},  # 64 -> 128: no 8-cell seed
-            256: {128, 512, 1024},  # 64 (rough) -> 256 -> 512: no 32-cell seed
+            2048: {63, 255, 256, 2047, 2048, 4095, 4096},  # 64 (rough) -> 256 -> 2048 -> 4096
+            64: {63, 64, 127, 128},  # 64 -> 128: no 8-cell seed
+            256: {63, 255, 256, 511, 512},  # 64 (rough) -> 256 -> 512: no 32-cell seed
         }[gridpoints]
         for params in (self.PARAMS, *self.FIXED[:2]):
             lengths = set()
@@ -597,7 +650,7 @@ class TestFdBracket:
         guesses = []
 
         def spy(c2, x):
-            if len(c2) == 2 * 2048:
+            if len(c2) == 2047:
                 guesses.append(x)
             return newton(c2, x)
 
@@ -617,7 +670,7 @@ class TestFdBracket:
         guesses = []
 
         def spy(c2, x):
-            if len(c2) == 2 * 4096:
+            if len(c2) == 4095:
                 guesses.append(x)
             return newton(c2, x)
 
@@ -641,6 +694,54 @@ class TestFdBracket:
         assert points[first][0] - points[first - 1][0] > 8e-14 * got
         assert undecided(points)
         assert len(points) < 16
+
+    @pytest.mark.parametrize("index", [1, 2])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_wrong_other_block_count_raises(self, monkeypatch, index, offset):
+        # the other block of an odd mode is the even one (2048 entries on
+        # 2048 cells), and that of an even mode the odd one (2047); it is
+        # counted only for the proof
+        other = 2048 if index % 2 else 2047
+        monkeypatch.setattr(
+            specgap.sturm,
+            "_sv_count",
+            lambda c2, x: _sv_count(c2, x) + (offset if len(c2) == other else 0),
+        )
+        with pytest.raises(NonConvergenceError, match="other block"):
+            specgap.sturm._fd_solve(self.PARAMS, 2048, index, None)
+
+    @pytest.mark.parametrize(
+        "params", FIXED, ids=lambda p: "%g,%g,%g" % (p.n, p.kappa, p.diameter)
+    )
+    @pytest.mark.parametrize("gridpoints", [256, 2048])
+    def test_blocks_agree_with_the_full_matrix(self, params, gridpoints):
+        # summed block counts and the count of the full palindromic matrix
+        # round differently, by at most 3 final intervals
+        for index in range(1, 6):
+            full = full_matrix_singular_value(params, gridpoints, index)
+            got = _fd_singular_value(params, gridpoints, index)
+            assert abs(got - full) <= 3e-14 * full, index
+
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            # values of the full-matrix oracle on the nodes -D/2 + i*dx
+            (lambda: sl_fd_oracle_extrapolated(ModelParams(3, -1.0, 2.0), 2048),
+             1.682043320038573),
+            (lambda: sl_fd_oracle(ModelParams(3, 0.5, 3.0), 256), 1.7844845420618511),
+            (lambda: _fd_singular_value(ModelParams(10, -1.0, 20.0), 256, 3),
+             3.745383718089407),
+            (lambda: _fd_singular_value(ModelParams(2, 0.0, 1000.0), 2048, 2),
+             0.0062831828430224175),
+            (lambda: sl_fd_oracle_extrapolated(ModelParams(3, -100.0, 10.0), 256),
+             2.9739184737145115e-41),
+            # a lattice point (seed 0) whose value moved by 1.7e-14
+            (lambda: sl_fd_oracle_extrapolated(ModelParams(4, 0.0, 0.5002181249573271), 2048),
+             39.443995218517735),
+        ],
+    )
+    def test_values_before_the_split(self, call, value):
+        assert abs(call() - value) <= 3e-14 * value
 
 
 class TestShootingModes:
@@ -1151,9 +1252,8 @@ class TestScalarKernels:
 
     def test_sv_count_next_to_a_root(self):
         params = spectrum_lattice(1)[3]
-        c = _fd_flux_factor(params, 4096)
-        c2 = (c * c).tolist()
-        assert len(c2) == 8192
+        c2, _ = fd_blocks(_fd_flux_factor(params, 4096))
+        assert len(c2) == 4095
         root = _fd_singular_value(params, 4096, 1)
         rng = np.random.default_rng(0)
         counts = set()
@@ -1166,26 +1266,30 @@ class TestScalarKernels:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_fine_oracle_solve_takes_one_newton_guess_and_few_counts(self, monkeypatch, seed):
         newton, count = specgap.sturm._newton_singular_value, specgap.sturm._sv_count
-        guesses, counts = [], []
+        guesses, counts, proofs = [], [], []
 
         def newton_spy(c2, x):
             out = newton(c2, x)
-            if len(c2) == 8192:
+            if len(c2) == 4095:
                 guesses.append(abs(x - out) / out)
             return out
 
         def count_spy(c2, x):
-            if len(c2) == 8192:
+            if len(c2) == 4095:  # the odd block, which holds sigma_1
                 counts[-1] += 1
+            elif len(c2) == 4096:
+                proofs[-1] += 1
             return count(c2, x)
 
         monkeypatch.setattr(specgap.sturm, "_newton_singular_value", newton_spy)
         monkeypatch.setattr(specgap.sturm, "_sv_count", count_spy)
         for params in spectrum_lattice(seed):
             counts.append(0)
+            proofs.append(0)
             sl_fd_oracle_extrapolated(params, 2048)
         # the h^2 seed; the coarse value that seeded this solve before was 2e-6 off
         assert len(guesses) == len(counts) == 9
         assert max(guesses) < 1e-8
         assert sum(counts) <= 32
         assert max(counts) <= 5
+        assert proofs == [1] * 9  # one count of the even block proves the solve
