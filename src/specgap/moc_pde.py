@@ -66,7 +66,7 @@ class Flux:
 
     def __post_init__(self):
         if not (self.p > 1.0 and math.isfinite(self.p)):
-            raise InvalidParamsError(f"p-Laplacian flux requires p > 1, got {self.p!r}")
+            raise InvalidParamsError(f"p-Laplacian flux requires p finite and > 1, got {self.p!r}")
         if self.epsilon is not None and not (0.0 <= self.epsilon < math.inf):
             raise InvalidParamsError(f"epsilon must lie in [0, inf), got {self.epsilon!r}")
         if self.p == 2.0:
@@ -111,7 +111,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not (self.half_diameter > 0 and math.isfinite(self.half_diameter)):
-            raise InvalidParamsError(f"half_diameter must be positive, got {self.half_diameter}")
+            raise InvalidParamsError(
+                f"half_diameter must be positive and finite, got {self.half_diameter}"
+            )
         if self.m < 16:
             raise InvalidParamsError(f"grid needs at least 16 cells, got {self.m}")
 
@@ -185,8 +187,8 @@ class StepControls:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.5):
             raise InvalidParamsError(f"cfl must lie in (0, 0.5], got {self.cfl}")
-        if self.fixed_dt is not None and not (self.fixed_dt > 0):
-            raise InvalidParamsError(f"fixed_dt must be positive, got {self.fixed_dt}")
+        if self.fixed_dt is not None and not (0 < self.fixed_dt < math.inf):
+            raise InvalidParamsError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
         if self.fixed_dt is not None:
             object.__setattr__(self, "fixed_dt", float(self.fixed_dt))
 

@@ -55,7 +55,7 @@ class ModelParams:
         if not math.isfinite(self.kappa):
             raise InvalidParamsError(f"curvature bound must be finite, got {self.kappa}")
         if not (math.isfinite(self.diameter) and self.diameter > 0):
-            raise InvalidParamsError(f"diameter must be positive, got {self.diameter}")
+            raise InvalidParamsError(f"diameter must be positive and finite, got {self.diameter}")
         if self.kappa > 0:
             ceiling = math.pi / math.sqrt(self.kappa)
             if self.diameter > (1.0 - BONNET_MYERS_MARGIN) * ceiling:

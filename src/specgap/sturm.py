@@ -438,7 +438,7 @@ def first_eigenvalue(params: ModelParams, tol: float) -> EigenResult:
     tol/4 would there be level-to-level roundoff, not grid convergence.
     """
     if not (tol > 0 and math.isfinite(tol)):
-        raise InvalidParamsError(f"tol must be positive, got {tol}")
+        raise InvalidParamsError(f"tol must be positive and finite, got {tol}")
     tol_sigma = tol / _SIGMA_REFINE
     steps = _INITIAL_STEPS
     hint = None

@@ -54,12 +54,12 @@ def ricci_bounds(n: int, kappa: float, a: float, half_width: float | None = None
     if not math.isfinite(kappa):
         raise InvalidParamsError(f"curvature bound must be finite, got {kappa}")
     if not (a > 0 and math.isfinite(a)):
-        raise InvalidParamsError(f"warp amplitude must be positive, got {a}")
+        raise InvalidParamsError(f"warp amplitude must be positive and finite, got {a}")
     radial = (n - 1) * kappa
     coef = (n - 2) * (1.0 / a - kappa)
     if half_width is not None:
         if not (half_width > 0 and math.isfinite(half_width)):
-            raise InvalidParamsError(f"half_width must be positive, got {half_width}")
+            raise InvalidParamsError(f"half_width must be positive and finite, got {half_width}")
         if kappa > 0 and half_width >= math.pi / (2.0 * math.sqrt(kappa)):
             raise InvalidParamsError("half_width reaches the degeneracy of ck for kappa > 0")
         # ck(0) = 1; dividing twice keeps coef/ck^2 finite where ck^2 overflows
@@ -93,7 +93,7 @@ class WarpedMetric:
 
     def __post_init__(self):
         if not (self.a > 0 and math.isfinite(self.a)):
-            raise InvalidParamsError(f"warp amplitude must be positive, got {self.a}")
+            raise InvalidParamsError(f"warp amplitude must be positive and finite, got {self.a}")
 
     def ricci(self) -> RicciReport:
         return ricci_bounds(

@@ -304,6 +304,23 @@ def test_nonfinite_t_end_exits_2(capsys, command, t_end):
     assert "t_end must be positive and finite, got %s" % t_end in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("eigen", "--tol", "inf"), "tol must be positive and finite, got inf"),
+    (("eigen", "--tol", "nan"), "tol must be positive and finite, got nan"),
+    (("eigen", "--diameter", "inf"), "diameter must be positive and finite, got inf"),
+    (("sweep", "--diameter", "nan"), "diameter must be positive and finite, got nan"),
+    (("evolve", "--flux", "plap:inf", "--t-end", "0.01", "--grid", "32"),
+     "p-Laplacian flux requires p finite and > 1, got inf"),
+    (("ricci", "--warp-a", "inf"), "warp amplitude must be positive and finite, got inf"),
+])
+def test_nonfinite_inputs_exit_2(capsys, argv, message):
+    # each refusal names both conditions, as for --t-end
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 class TestRicciCommand:
     def test_admissible_report(self, capsys):
         code, out, _ = run_cli(capsys, "ricci", "--n", "3", "--kappa", "0", "--warp-a", "5")

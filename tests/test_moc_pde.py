@@ -253,6 +253,11 @@ class TestGridProfile:
         with pytest.raises(InvalidParamsError):
             Grid1D(1.0, 8)
 
+    @pytest.mark.parametrize("half_diameter", [math.inf, math.nan, 0.0])
+    def test_grid_refusal_names_both_conditions(self, half_diameter):
+        with pytest.raises(InvalidParamsError, match="half_diameter must be positive and finite"):
+            Grid1D(half_diameter, 32)
+
     def test_profile_requires_zero_pivot(self):
         g = Grid1D(1.0, 16)
         with pytest.raises(InvalidParamsError):
@@ -1110,3 +1115,6 @@ class TestEvolveValidation:
             StepControls(cfl=0.7)
         with pytest.raises(InvalidParamsError):
             StepControls(fixed_dt=0.0)
+        for fixed_dt in (math.inf, math.nan):
+            with pytest.raises(InvalidParamsError, match="fixed_dt must be positive and finite"):
+                StepControls(fixed_dt=fixed_dt)

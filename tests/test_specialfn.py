@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specgap import PoleError, ck, sk, tk
-from specgap.specialfn import ck_array, sk_array, tk_array
+from specgap.specialfn import tk_array
 
 # kappa/tau lattices for identity checks; tk poles (kappa > 0 only) are at
 # |s| = (2m+1)*pi/(2*sqrt(kappa)), avoided below where tk is evaluated.
@@ -74,8 +74,8 @@ def test_parity():
 
 
 def test_small_kappa_series_matches_exact_branch():
-    # just above the series cutoff the exact branch is still accurate,
-    # so the two evaluations must agree across the switch
+    # at |kappa|*tau^2 ~ 1e-8 the closed forms match the two-term series in
+    # kappa to an ulp: no series branch is needed next to kappa = 0
     tau = 1.0
     for kappa in (9.9e-9, 1.01e-8, -9.9e-9, -1.01e-8):
         assert ck(kappa, tau) == pytest.approx(1.0 - kappa / 2.0, abs=1e-15)
@@ -90,11 +90,9 @@ def test_tk_pole_detection():
 
 
 def test_array_versions_match_scalars():
-    # the scalars are one-point calls of the array versions: equal bit for bit
+    # the scalar tk is a one-point call of tk_array: equal bit for bit
     taus = np.linspace(-2.5, 2.5, 41)
     for kappa in (-1.5, 0.0, 0.3):
-        np.testing.assert_array_equal(ck_array(kappa, taus), [ck(kappa, t) for t in taus])
-        np.testing.assert_array_equal(sk_array(kappa, taus), [sk(kappa, t) for t in taus])
         np.testing.assert_array_equal(tk_array(kappa, taus), [tk(kappa, t) for t in taus])
 
 
@@ -127,3 +125,34 @@ def test_tk_array_pole_test_is_scale_free(j):
     np.testing.assert_array_equal(np.ldexp(scaled, -j), tk_array(1.0, s))
     with pytest.raises(PoleError):
         tk_array(math.ldexp(1.0, 2 * j), np.array([math.ldexp(math.pi / 2, -j)]))
+
+
+@pytest.mark.parametrize("kappa", [0.3, 2.0, 4.0**100])
+def test_tk_array_is_the_tan_closed_form(kappa):
+    # one tan call, bit for bit
+    rt = math.sqrt(kappa)
+    s = np.linspace(-1.5, 1.5, 97) / rt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(tk_array(kappa, s), rt * np.tan(rt * s))
+
+
+def test_tk_array_flat_is_exact_zeros():
+    s = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = tk_array(0.0, s)
+    assert values.shape == s.shape and values.dtype == float
+    assert not np.any(values)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 4.0**100])
+def test_tk_array_pole_threshold(kappa):
+    # |tan| passes 1e12 between 1e-13 and 1e-11 relative below the pole
+    pole = math.pi / (2.0 * math.sqrt(kappa))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError):
+            tk_array(kappa, np.array([0.0, pole * (1.0 - 1e-13)]))
+        near = tk_array(kappa, np.array([pole * (1.0 - 1e-11)]))
+    assert np.all(np.isfinite(near)) and near[0] > 0

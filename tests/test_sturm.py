@@ -282,7 +282,7 @@ class TestScaleFree:
     def test_margin_triple_is_solved_as_given(self):
         # kappa*D^2 sits 1e-10 under pi^2: the scaled Bonnet-Myers check is exact
         res = first_eigenvalue(ModelParams(3, 0.37, 5.164746507244647), 1e-9)
-        assert res.mu == 1.1100000000567114
+        assert res.mu == 1.110000000056711
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_strong_negative_curvature_has_no_false_pole(self):

@@ -139,6 +139,13 @@ class TestRicciBounds:
         for kappa in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidParamsError):
                 ricci_bounds(3, kappa, 1.0)
+        for value in (math.inf, math.nan):
+            with pytest.raises(InvalidParamsError, match="amplitude must be positive and finite"):
+                ricci_bounds(3, -1.0, value)
+            with pytest.raises(InvalidParamsError, match="half_width must be positive and finite"):
+                ricci_bounds(3, -1.0, 1.0, half_width=value)
+            with pytest.raises(InvalidParamsError, match="amplitude must be positive and finite"):
+                WarpedMetric(ModelParams(3, -1.0, 2.0), value)
 
 
 class TestWarpedMetric:
