@@ -1,9 +1,15 @@
 """Command-line front end emitting deterministic JSON/CSV reports.
 
-Every subcommand maps onto one library operation; no numerical logic lives
-here.  Reals are serialized with 12 significant digits, absent values are
-omitted (never NaN/Inf), and identical argument vectors (including --seed)
-produce byte-identical output.
+Each subcommand runs one library operation and prints the record it returns:
+a scalar report opens with the ``ModelParams`` fields (n, kappa, diameter),
+then the command's own settings, then the library record in field order.
+Besides parsing and rendering, this module holds the experiment set-up the
+library leaves open: the seeded initial modulus; ``decay``'s default horizon,
+fit window and refusal of a horizon too short to fit; and ``verify-moc``'s
+shared fixed dt, its odd extension of the modulus onto the radial grid and
+its tolerance tol = 5*h^2*osc.  Reals are serialized with 12 significant
+digits, absent values are omitted (never NaN/Inf), and identical argument
+vectors (including --seed) produce byte-identical output.
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid parameters, 3 solver
 non-convergence.
@@ -12,13 +18,14 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import classical_bounds
+from .bounds import BoundsReport, classical_bounds
 from .model import InvalidParamsError, ModelParams, NonConvergenceError, PoleError
 from .moc_pde import Flux, Grid1D, Profile, StepControls, evolve, flux_eval
 from .sturm import first_eigenvalue, seeded_odd_initial_data
@@ -33,6 +40,7 @@ from .warped import (
 
 _DECAY_WINDOW = 0.5
 _DECAY_SAMPLES = 48
+_BOUNDS_FIELDS = [f.name for f in dataclasses.fields(BoundsReport)]
 
 
 def parse_flux(spec: str) -> Flux:
@@ -128,42 +136,26 @@ def _scalar_table(report: dict) -> tuple[list[str], list[dict]]:
 def cmd_eigen(args):
     params = _params_from(args)
     res = first_eigenvalue(params, args.tol)
-    report = _drop_absent(
-        {
-            "n": params.n,
-            "kappa": params.kappa,
-            "diameter": params.diameter,
-            "mu": res.mu,
-            "bracket_lo": res.bracket_lo,
-            "bracket_hi": res.bracket_hi,
-            "iterations": res.iterations,
-            "tol_achieved": res.bracket_hi - res.bracket_lo,
-            "steps": res.steps,
-        }
-    )
+    report = {
+        **dataclasses.asdict(params),
+        "mu": res.mu,
+        "bracket_lo": res.bracket_lo,
+        "bracket_hi": res.bracket_hi,
+        "iterations": res.iterations,
+        "tol_achieved": res.bracket_hi - res.bracket_lo,
+        "steps": res.steps,
+    }
     return report, _scalar_table(report)
 
 
 def _bounds_report(params: ModelParams, tol: float) -> dict:
-    rep = classical_bounds(params, tol)
-    return _drop_absent(
-        {
-            "n": rep.n,
-            "kappa": rep.kappa,
-            "diameter": rep.diameter,
-            "sharp_mu": rep.sharp_mu,
-            "lichnerowicz": rep.lichnerowicz,
-            "zhong_yang": rep.zhong_yang,
-            "li_conjecture": rep.li_conjecture,
-            "shi_zhang": rep.shi_zhang,
-            "li_violated": rep.li_violated,
-        }
-    )
+    return _drop_absent(dataclasses.asdict(classical_bounds(params, tol)))
 
 
 def cmd_bounds(args):
+    # the CSV keeps every record column, so rows at any kappa line up with sweep's
     report = _bounds_report(_params_from(args), args.tol)
-    return report, _scalar_table(report)
+    return report, (_BOUNDS_FIELDS, [report])
 
 
 def _default_modulus(params: ModelParams, cells: int, seed: int) -> Profile:
@@ -192,9 +184,7 @@ def cmd_evolve(args):
     controls = StepControls(cfl=args.cfl, output_times=times)
     profiles = evolve(flux, params, phi0, args.t_end, controls)
     report = {
-        "n": params.n,
-        "kappa": params.kappa,
-        "diameter": params.diameter,
+        **dataclasses.asdict(params),
         "flux": args.flux,
         "grid": args.grid,
         "cfl": args.cfl,
@@ -238,9 +228,7 @@ def cmd_decay(args):
     osc = sol.oscillations()
     rate = fit_decay(osc, window=_DECAY_WINDOW)
     report = {
-        "n": params.n,
-        "kappa": params.kappa,
-        "diameter": params.diameter,
+        **dataclasses.asdict(params),
         "flux": args.flux,
         "grid": args.grid,
         "seed": args.seed,
@@ -261,9 +249,9 @@ def cmd_verify_moc(args):
     flux = parse_flux(args.flux)
     t_end = args.t_end if args.t_end is not None else 0.4
     cells = args.grid
+    if cells % 2 or cells < 32:
+        raise InvalidParamsError(f"verify-moc needs an even --grid >= 32, got {cells}")
     phi0 = _default_modulus(params, cells, args.seed)
-    if cells % 2 != 0:
-        raise InvalidParamsError("verify-moc needs an even --grid")
     # odd extension subsampled onto the radial grid (twice the spacing)
     u0 = np.concatenate([-phi0.values[::2][:0:-1], phi0.values[::2]])
     grads = np.gradient(phi0.values, phi0.grid.h)
@@ -286,19 +274,13 @@ def cmd_verify_moc(args):
     tol = 5.0 * h_u * h_u * osc0
     rep = verify_moc(sol, phis, tol)
     report = {
-        "n": params.n,
-        "kappa": params.kappa,
-        "diameter": params.diameter,
+        **dataclasses.asdict(params),
         "flux": args.flux,
         "grid": cells,
         "seed": args.seed,
         "t_end": t_end,
         "tol": tol,
-        "violations": rep.violations,
-        "worst_margin": rep.worst_margin,
-        "antipodal_defect": rep.antipodal_defect,
-        "pairs_checked": rep.pairs_checked,
-        "times_checked": rep.times_checked,
+        **dataclasses.asdict(rep),
     }
     return report, _scalar_table(report)
 
@@ -307,17 +289,7 @@ def cmd_ricci(args):
     a = args.warp_a if args.warp_a is not None else default_warp_amplitude(args.kappa)
     params = _params_from(args)  # validates the (n, kappa, diameter) triple
     rep = ricci_bounds(params.n, params.kappa, a, half_width=params.half_diameter)
-    report = _drop_absent(
-        {
-            "n": params.n,
-            "kappa": params.kappa,
-            "diameter": params.diameter,
-            "warp_a": a,
-            "radial": rep.radial,
-            "tangential_min": rep.tangential_min,
-            "admissible": rep.admissible,
-        }
-    )
+    report = _drop_absent({**dataclasses.asdict(params), "warp_a": a, **dataclasses.asdict(rep)})
     return report, _scalar_table(report)
 
 
@@ -339,11 +311,7 @@ def cmd_sweep(args):
         for kappa in sorted(kappas):
             for diameter in sorted(diameters):
                 rows.append(_bounds_report(ModelParams(n, kappa, diameter), args.tol))
-    fields = [
-        "n", "kappa", "diameter", "sharp_mu", "lichnerowicz",
-        "zhong_yang", "li_conjecture", "shi_zhang", "li_violated",
-    ]
-    return {"rows": rows}, (fields, rows)
+    return {"rows": rows}, (_BOUNDS_FIELDS, rows)
 
 
 # each flag is declared only on the subcommands whose command function reads it

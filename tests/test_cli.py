@@ -25,6 +25,12 @@ READ_FLAGS = {
     "ricci": COMMON + ("--warp-a",),
 }
 UNREAD_FLAGS = [(c, f) for c, read in READ_FLAGS.items() for f in ALL_FLAGS if f not in read]
+PARAMS_KEYS = ["n", "kappa", "diameter"]
+BOUNDS_KEYS = PARAMS_KEYS + ["sharp_mu", "lichnerowicz", "zhong_yang", "li_conjecture",
+                             "shi_zhang", "li_violated"]
+VERIFY_MOC_KEYS = PARAMS_KEYS + ["flux", "grid", "seed", "t_end", "tol", "violations",
+                                 "worst_margin", "antipodal_defect", "pairs_checked",
+                                 "times_checked"]
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +102,14 @@ class TestBoundsCommand:
         header, row = out.strip().split("\n")
         assert header.split(",")[:4] == ["n", "kappa", "diameter", "sharp_mu"]
         assert row.split(",")[0] == "3"
+
+    @pytest.mark.parametrize("kappa", ["0", "0.5"])
+    def test_csv_header_is_sweeps(self, capsys, kappa):
+        # one record, one CSV schema: lichnerowicz is an empty cell for kappa <= 0
+        args = ("--kappa", kappa, "--tol", "1e-7", "--format", "csv")
+        _, bounds_out, _ = run_cli(capsys, "bounds", *args)
+        _, sweep_out, _ = run_cli(capsys, "sweep", *args)
+        assert bounds_out.split("\n")[0] == sweep_out.split("\n")[0]
 
 
 class TestEvolveCommand:
@@ -293,6 +307,15 @@ class TestVerifyMocCommand:
         assert out == ""
         assert "t_end must be positive" in err and "too short" not in err
 
+    @pytest.mark.parametrize("grid", ["16", "30", "31"])
+    def test_small_or_odd_grid_names_the_flag(self, capsys, grid):
+        # the radial grid needs at least 33 nodes: the refusal is about --grid, not u0
+        code, out, err = run_cli(capsys, "verify-moc", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: invalid parameters: verify-moc needs an even --grid >= 32, "
+                       "got %s\n" % grid)
+
 
 @pytest.mark.parametrize("t_end", ["inf", "nan"])
 @pytest.mark.parametrize("command", ["evolve", "decay", "verify-moc"])
@@ -377,6 +400,25 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--n", "2;3")
         assert code == 2
         assert "invalid parameters" in err
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("eigen",), PARAMS_KEYS + ["mu", "bracket_lo", "bracket_hi", "iterations",
+                                "tol_achieved", "steps"]),
+    (("bounds", "--kappa", "0.5"), BOUNDS_KEYS),
+    (("ricci",), PARAMS_KEYS + ["warp_a", "radial", "tangential_min", "admissible"]),
+    (("verify-moc", "--grid", "32"), VERIFY_MOC_KEYS),
+    (("sweep", "--format", "csv"), BOUNDS_KEYS),
+    (("verify-moc", "--grid", "32", "--format", "csv"), VERIFY_MOC_KEYS),
+])
+def test_report_layout(capsys, argv, keys):
+    # the keys and their order come from the library records: a renamed field shows here
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if "csv" in argv:
+        assert out.split("\n")[0].split(",") == keys
+    else:
+        assert list(json.loads(out)) == keys
 
 
 class TestOutputHandling:
