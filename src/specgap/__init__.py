@@ -17,7 +17,7 @@ from .model import (
     PoleError,
     SpecgapError,
 )
-from .moc_pde import Flux, Grid1D, Profile, StepControls, evolve, flux_eval
+from .moc_pde import Flux, Grid1D, Profile, StepControls, evolve, flux_eval, seeded_concave_modulus
 from .specialfn import ck, sk, tk
 from .sturm import (
     EigenResult,
@@ -31,14 +31,18 @@ from .sturm import (
     sphere_limit_eigenvalue,
 )
 from .warped import (
+    DecayReport,
     RadialSolution,
     RicciReport,
     ViolationReport,
     WarpedMetric,
+    decay_check,
     default_warp_amplitude,
     fit_decay,
     radial_flow,
     ricci_bounds,
+    two_point_check,
+    two_point_dt,
     verify_moc,
 )
 
@@ -47,6 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsReport",
     "CFLViolationError",
+    "DecayReport",
     "DegenerateFluxError",
     "EigenResult",
     "Flux",
@@ -67,6 +72,7 @@ __all__ = [
     "asymptotic_slope",
     "ck",
     "classical_bounds",
+    "decay_check",
     "default_warp_amplitude",
     "evolve",
     "first_eigenvalue",
@@ -75,6 +81,7 @@ __all__ = [
     "integrate_phi",
     "radial_flow",
     "ricci_bounds",
+    "seeded_concave_modulus",
     "seeded_odd_initial_data",
     "shi_zhang_bound",
     "sk",
@@ -82,5 +89,7 @@ __all__ = [
     "sl_fd_oracle_extrapolated",
     "sphere_limit_eigenvalue",
     "tk",
+    "two_point_check",
+    "two_point_dt",
     "verify_moc",
 ]

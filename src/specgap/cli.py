@@ -3,13 +3,9 @@
 Each subcommand runs one library operation and prints the record it returns:
 a scalar report opens with the ``ModelParams`` fields (n, kappa, diameter),
 then the command's own settings, then the library record in field order.
-Besides parsing and rendering, this module holds the experiment set-up the
-library leaves open: the seeded initial modulus; ``decay``'s default horizon,
-fit window and refusal of a horizon too short to fit; and ``verify-moc``'s
-shared fixed dt, its odd extension of the modulus onto the radial grid and
-its tolerance tol = 5*h^2*osc.  Reals are serialized with 12 significant
-digits, absent values are omitted (never NaN/Inf), and identical argument
-vectors (including --seed) produce byte-identical output.
+Reals are serialized with 12 significant digits, absent values are omitted
+(never NaN/Inf), and identical argument vectors (including --seed) produce
+byte-identical output.
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid parameters, 3 solver
 non-convergence.
@@ -27,19 +23,18 @@ import numpy as np
 
 from .bounds import BoundsReport, classical_bounds
 from .model import InvalidParamsError, ModelParams, NonConvergenceError, PoleError
-from .moc_pde import Flux, Grid1D, Profile, StepControls, evolve, flux_eval
-from .sturm import first_eigenvalue, seeded_odd_initial_data
+from .moc_pde import Flux, StepControls, evolve, seeded_concave_modulus
+from .sturm import first_eigenvalue
 from .warped import (
-    WarpedMetric,
+    _DECAY_SAMPLES,
+    _DECAY_WINDOW,
+    decay_check,
     default_warp_amplitude,
-    fit_decay,
-    radial_flow,
     ricci_bounds,
-    verify_moc,
+    two_point_check,
+    two_point_dt,
 )
 
-_DECAY_WINDOW = 0.5
-_DECAY_SAMPLES = 48
 _BOUNDS_FIELDS = [f.name for f in dataclasses.fields(BoundsReport)]
 
 
@@ -158,28 +153,12 @@ def cmd_bounds(args):
     return report, (_BOUNDS_FIELDS, [report])
 
 
-def _default_modulus(params: ModelParams, cells: int, seed: int) -> Profile:
-    """Seeded concave nondecreasing initial modulus with unit oscillation."""
-    if seed < 0:
-        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
-    grid = Grid1D(params.half_diameter, cells)
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.2, 1.0, size=4)
-    x = grid.nodes / params.half_diameter
-    values = np.zeros_like(x)
-    for k, w in enumerate(weights, start=1):
-        values += w * (1.0 - (1.0 - x) ** (k + 1))
-    values /= values[-1]
-    values[0] = 0.0
-    return Profile(grid=grid, t=0.0, values=values)
-
-
 def cmd_evolve(args):
     params = _params_from(args)
     flux = parse_flux(args.flux)
     if args.t_end is None:
         raise InvalidParamsError("evolve requires --t-end")
-    phi0 = _default_modulus(params, args.grid, args.seed)
+    phi0 = seeded_concave_modulus(params, args.grid, args.seed)
     times = [args.t_end * k / 8.0 for k in range(9)]
     controls = StepControls(cfl=args.cfl, output_times=times)
     profiles = evolve(flux, params, phi0, args.t_end, controls)
@@ -210,37 +189,26 @@ def cmd_decay(args):
             "decay compares the fitted rate with the linear eigenvalue mu, which governs "
             "the heat flux only; got --flux %s" % args.flux
         )
-    u0, mu = seeded_odd_initial_data(params, args.grid, args.seed)
-    t_end = args.t_end if args.t_end is not None else 2.0 * 3.0 / mu
-    times = [t_end * (k + 1) / _DECAY_SAMPLES for k in range(_DECAY_SAMPLES)]
     # a fit window spanning less than one explicit step can snap all of its
-    # samples to the same step; the march refuses a horizon that is not positive
-    dt = args.cfl * (params.diameter / args.grid) ** 2
-    fit_samples = int(round(_DECAY_WINDOW * _DECAY_SAMPLES))
-    if 0 < t_end * (fit_samples - 1) / _DECAY_SAMPLES < dt:
-        raise InvalidParamsError(
-            "--t-end %g is too short: the fitted last %d of %d samples span less than "
-            "one explicit step dt = cfl*(D/grid)^2 = %g; raise --t-end, or raise --grid "
-            "or lower --cfl" % (t_end, fit_samples, _DECAY_SAMPLES, dt)
-        )
-    metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
-    sol = radial_flow(metric, flux, u0, t_end, StepControls(cfl=args.cfl, output_times=times))
-    osc = sol.oscillations()
-    rate = fit_decay(osc, window=_DECAY_WINDOW)
+    # samples to the same step; decay_check refuses the other bad grids and horizons
+    if args.t_end is not None and args.grid > 0:
+        dt = args.cfl * (params.diameter / args.grid) ** 2
+        fit_samples = int(round(_DECAY_WINDOW * _DECAY_SAMPLES))
+        if 0 < args.t_end * (fit_samples - 1) / _DECAY_SAMPLES < dt:
+            raise InvalidParamsError(
+                "--t-end %g is too short: the fitted last %d of %d samples span less than "
+                "one explicit step dt = cfl*(D/grid)^2 = %g; raise --t-end, or raise --grid "
+                "or lower --cfl" % (args.t_end, fit_samples, _DECAY_SAMPLES, dt)
+            )
+    rec = decay_check(params, args.grid, args.seed, args.t_end, args.cfl)
     report = {
         **dataclasses.asdict(params),
         "flux": args.flux,
         "grid": args.grid,
         "seed": args.seed,
-        "t_end": t_end,
-        "window": _DECAY_WINDOW,
-        "mu": mu,
-        "fitted_rate": rate,
-        "relative_gap": abs(rate - mu) / mu,
-        "t": [p[0] for p in osc],
-        "osc": [p[1] for p in osc],
+        **dataclasses.asdict(rec),
     }
-    rows = [{"t": t, "osc": o} for t, o in osc]
+    rows = [{"t": t, "osc": o} for t, o in zip(rec.t, rec.osc)]
     return report, (["t", "osc"], rows)
 
 
@@ -251,12 +219,8 @@ def cmd_verify_moc(args):
     cells = args.grid
     if cells % 2 or cells < 32:
         raise InvalidParamsError(f"verify-moc needs an even --grid >= 32, got {cells}")
-    phi0 = _default_modulus(params, cells, args.seed)
-    # odd extension subsampled onto the radial grid (twice the spacing)
-    u0 = np.concatenate([-phi0.values[::2][:0:-1], phi0.values[::2]])
-    grads = np.gradient(phi0.values, phi0.grid.h)
-    alpha_max = max(flux_eval(flux, float(q))[0] for q in grads)
-    dt = 0.75 * args.cfl * phi0.grid.h**2 / max(1.0, alpha_max)
+    phi0 = seeded_concave_modulus(params, cells, args.seed)
+    dt = two_point_dt(flux, phi0, 0.75 * args.cfl)
     times = [t_end * (k + 1) / 5.0 for k in range(5)]
     if 0 < times[0] < dt:  # the march refuses a horizon that is not positive
         raise InvalidParamsError(
@@ -265,21 +229,13 @@ def cmd_verify_moc(args):
             "state would be checked; raise --t-end, or raise --grid or lower --cfl"
             % (t_end, dt)
         )
-    controls = StepControls(cfl=args.cfl, output_times=times, fixed_dt=dt)
-    metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
-    sol = radial_flow(metric, flux, u0, t_end, controls)
-    phis = evolve(flux, params, phi0, t_end, controls)
-    h_u = params.diameter / cells
-    osc0 = float(np.max(u0) - np.min(u0))
-    tol = 5.0 * h_u * h_u * osc0
-    rep = verify_moc(sol, phis, tol)
+    rep = two_point_check(flux, params, phi0, times, dt, args.cfl)
     report = {
         **dataclasses.asdict(params),
         "flux": args.flux,
         "grid": cells,
         "seed": args.seed,
         "t_end": t_end,
-        "tol": tol,
         **dataclasses.asdict(rep),
     }
     return report, _scalar_table(report)

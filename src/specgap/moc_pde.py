@@ -554,3 +554,19 @@ def evolve(
                 "its stability envelope (refine the grid or lower cfl)" % prof.t
             )
     return out
+
+
+def seeded_concave_modulus(params: ModelParams, cells: int, seed: int) -> Profile:
+    """Seeded concave nondecreasing initial modulus with unit oscillation."""
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
+    grid = Grid1D(params.half_diameter, cells)
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.2, 1.0, size=4)
+    x = grid.nodes / params.half_diameter
+    values = np.zeros_like(x)
+    for k, w in enumerate(weights, start=1):
+        values += w * (1.0 - (1.0 - x) ** (k + 1))
+    values /= values[-1]
+    values[0] = 0.0
+    return Profile(grid=grid, t=0.0, values=values)

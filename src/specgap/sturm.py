@@ -546,8 +546,10 @@ def _fd_flux_factor(params: ModelParams, gridpoints: int) -> np.ndarray:
     cke = ck(kappa, e)
     tsk = tk_array(kappa, x) * sk(kappa, e)
     c = np.empty(gridpoints)
-    c[0::2] = np.sqrt((cke - tsk[:-1]) ** p) / dx
-    c[1::2] = np.sqrt((cke + tsk[1:]) ** p) / dx
+    # the power overflows on rough grids where mu underflows; the solve then raises
+    with np.errstate(over="ignore"):
+        c[0::2] = np.sqrt((cke - tsk[:-1]) ** p) / dx
+        c[1::2] = np.sqrt((cke + tsk[1:]) ** p) / dx
     c[-1] *= math.sqrt(2.0)  # half mass in the end cell
     return c
 

@@ -6,7 +6,8 @@ the 1D comparison equation on the full interval, which is what
 ``radial_flow`` evolves.  ``verify_moc`` then checks the two-point modulus
 inequality between such a radial solution and an evolved modulus profile,
 and ``fit_decay`` extracts oscillation decay rates for comparison with the
-first nonzero Neumann eigenvalue.
+first nonzero Neumann eigenvalue.  ``two_point_check`` and ``decay_check``
+run these two checks with the set-up each experiment needs.
 """
 
 from __future__ import annotations
@@ -18,11 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from .model import InvalidParamsError, ModelParams
-from .moc_pde import Flux, Profile, StepControls, _march
+from .moc_pde import Flux, Profile, StepControls, _march, evolve, flux_eval
 from .specialfn import ck, tk_array
+from .sturm import seeded_odd_initial_data
 
 # Admissibility slack on the Ricci comparison (absolute, curvature units).
 _RICCI_SLACK = 1e-12
+
+# decay_check's samples up to its horizon, and the trailing fraction fitted.
+_DECAY_SAMPLES = 48
+_DECAY_WINDOW = 0.5
 
 
 @dataclass(frozen=True)
@@ -159,8 +165,9 @@ def radial_flow(
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Outcome of the two-point modulus check."""
+    """Outcome of the two-point modulus check at tolerance ``tol``."""
 
+    tol: float
     violations: int
     worst_margin: float
     antipodal_defect: float
@@ -232,12 +239,40 @@ def verify_moc(
     center = m_u // 2
     ant = np.abs((u[:, center + 1 :] - u[:, center - 1 :: -1]) - twice_phi[:, 2 : m_u + 1 : 2])
     return ViolationReport(
+        tol=tol,
         violations=violations,
         worst_margin=worst,
         antipodal_defect=max(0.0, float(ant.max())),
         pairs_checked=len(u) * m_u * (m_u + 1) // 2,
         times_checked=len(phi_series),
     )
+
+
+def two_point_dt(flux: Flux, phi0: Profile, cfl: float) -> float:
+    """``two_point_check``'s fixed step cfl*h^2/max(1, alpha) over the gradients of ``phi0``."""
+    grads = np.gradient(phi0.values, phi0.grid.h)
+    alpha_max = max(flux_eval(flux, float(q))[0] for q in grads)
+    return cfl * phi0.grid.h**2 / max(1.0, alpha_max)
+
+
+def two_point_check(
+    flux: Flux, params: ModelParams, phi0: Profile, times: list[float], dt: float, cfl: float = 0.4
+) -> ViolationReport:
+    """The two-point modulus check of the initial modulus ``phi0``.
+
+    The radial data is the odd extension of every second sample of ``phi0``
+    onto [-D/2, D/2], a grid of the same cell count.  Both flows march on the
+    fixed step ``dt`` and are checked at ``times`` at tol = 5*h^2*osc(u0),
+    with h the radial spacing.
+    """
+    u0 = np.concatenate([-phi0.values[::2][:0:-1], phi0.values[::2]])
+    controls = StepControls(cfl=cfl, output_times=times, fixed_dt=dt)
+    metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
+    sol = radial_flow(metric, flux, u0, times[-1], controls)
+    phis = evolve(flux, params, phi0, times[-1], controls)
+    h_u = params.diameter / phi0.grid.m
+    osc0 = float(np.max(u0) - np.min(u0))
+    return verify_moc(sol, phis, 5.0 * h_u * h_u * osc0)
 
 
 def fit_decay(osc_series: Sequence[tuple[float, float]], window: float) -> float:
@@ -268,3 +303,32 @@ def fit_decay(osc_series: Sequence[tuple[float, float]], window: float) -> float
         raise InvalidParamsError("fit window has no time spread")
     slope = float(np.dot(t_c, y - y.mean())) / denom
     return -slope
+
+
+@dataclass(frozen=True)
+class DecayReport:
+    """Oscillation series (t, osc) and its decay rate fitted over ``window``."""
+
+    t_end: float
+    window: float
+    mu: float
+    fitted_rate: float
+    relative_gap: float
+    t: list[float]
+    osc: list[float]
+
+
+def decay_check(
+    params: ModelParams, cells: int, seed: int, t_end: float | None = None, cfl: float = 0.4
+) -> DecayReport:
+    """Decay rate of seeded odd data against mu: 48 samples to t_end (default 6/mu), half fitted."""
+    u0, mu = seeded_odd_initial_data(params, cells, seed)
+    if t_end is None:
+        t_end = 6.0 / mu
+    times = [t_end * (k + 1) / _DECAY_SAMPLES for k in range(_DECAY_SAMPLES)]
+    metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
+    sol = radial_flow(metric, Flux.heat(), u0, t_end, StepControls(cfl=cfl, output_times=times))
+    osc = sol.oscillations()
+    rate = fit_decay(osc, window=_DECAY_WINDOW)
+    return DecayReport(t_end, _DECAY_WINDOW, mu, rate, abs(rate - mu) / mu,
+                       [p[0] for p in osc], [p[1] for p in osc])

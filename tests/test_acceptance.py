@@ -17,20 +17,16 @@ from specgap import (
     ModelParams,
     Profile,
     StepControls,
-    WarpedMetric,
     asymptotic_slope,
     classical_bounds,
-    default_warp_amplitude,
+    decay_check,
     evolve,
     first_eigenvalue,
-    fit_decay,
-    flux_eval,
     integrate_phi,
-    radial_flow,
     ricci_bounds,
-    seeded_odd_initial_data,
     sl_fd_oracle_extrapolated,
-    verify_moc,
+    two_point_check,
+    two_point_dt,
 )
 
 
@@ -173,20 +169,13 @@ def test_criterion_08_eigenprofile_decay():
 
 
 def test_criterion_09_decay_rate_recovery():
-    params = ModelParams(2, -1.0, math.pi)
-    cells = 128
-    u0, mu = seeded_odd_initial_data(params, cells, seed=2025)
-    t_end = 2.0 * 3.0 / mu
-    times = [t_end * (k + 1) / 48.0 for k in range(48)]
-    metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
-    sol = radial_flow(metric, Flux.heat(), u0, t_end, StepControls(output_times=times))
-    rate = fit_decay(sol.oscillations(), window=0.5)
-    gap = abs(rate - mu) / mu
+    rec = decay_check(ModelParams(2, -1.0, math.pi), 128, seed=2025)
     check(
         9,
         f"oscillation decay rate of seeded generic odd data recovers the "
-        f"eigenvalue: rate={rate:.6f} vs mu={mu:.6f}, gap {gap:.2e} <= 2%",
-        gap <= 0.02,
+        f"eigenvalue: rate={rec.fitted_rate:.6f} vs mu={rec.mu:.6f}, "
+        f"gap {rec.relative_gap:.2e} <= 2%",
+        rec.relative_gap <= 0.02,
     )
 
 
@@ -194,19 +183,7 @@ def _moc_case(n, kappa, diameter, flux, cells, times):
     params = ModelParams(n, kappa, diameter)
     grid = Grid1D(diameter / 2.0, cells)
     phi0 = Profile(grid=grid, t=0.0, values=np.sin(math.pi * grid.nodes / diameter))
-    s = -diameter / 2.0 + np.arange(cells + 1) * (diameter / cells)
-    u0 = np.sign(s) * np.sin(math.pi * np.abs(s) / diameter)
-    grads = np.gradient(phi0.values, grid.h)
-    alpha_max = max(flux_eval(flux, float(q))[0] for q in grads)
-    controls = StepControls(
-        output_times=list(times), fixed_dt=0.3 * grid.h**2 / max(1.0, alpha_max)
-    )
-    metric = WarpedMetric(params, default_warp_amplitude(kappa))
-    sol = radial_flow(metric, flux, u0, times[-1], controls)
-    phis = evolve(flux, params, phi0, times[-1], controls)
-    osc0 = float(np.max(u0) - np.min(u0))
-    tol = 5.0 * (diameter / cells) ** 2 * osc0
-    return verify_moc(sol, phis, tol), tol
+    return two_point_check(flux, params, phi0, times, two_point_dt(flux, phi0, 0.3))
 
 
 def test_criterion_10_modulus_preservation():
@@ -229,13 +206,13 @@ def test_criterion_10_modulus_preservation():
     ok = True
     worst = -math.inf
     for n, kappa, diameter, flux in configs:
-        rep, tol = _moc_case(n, kappa, diameter, flux, 64, times)
+        rep = _moc_case(n, kappa, diameter, flux, 64, times)
         ok = ok and rep.violations == 0
-        worst = max(worst, rep.worst_margin - tol)
+        worst = max(worst, rep.worst_margin - rep.tol)
     ratios = []
     for flux in (heat, plap):
-        d64, _ = _moc_case(3, -1.0, 2.0, flux, 64, times)
-        d128, _ = _moc_case(3, -1.0, 2.0, flux, 128, times)
+        d64 = _moc_case(3, -1.0, 2.0, flux, 64, times)
+        d128 = _moc_case(3, -1.0, 2.0, flux, 128, times)
         ratios.append(d64.antipodal_defect / d128.antipodal_defect)
     ok = ok and all(r >= 3.0 for r in ratios)
     check(

@@ -3,11 +3,20 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from specgap.cli import main, parse_flux, render_json
-from specgap import InvalidParamsError
+from specgap import (
+    Flux,
+    InvalidParamsError,
+    ModelParams,
+    decay_check,
+    seeded_concave_modulus,
+    two_point_check,
+    two_point_dt,
+)
 
 PI = "3.141592653589793"
 
@@ -239,6 +248,13 @@ class TestDecayCommand:
         assert out == ""
         assert "t_end must be positive" in err and "too short" not in err
 
+    def test_report_is_decay_check(self, capsys):
+        _, out, _ = run_cli(capsys, "decay", "--grid", "64")
+        params = ModelParams(3, 0.0, 2.0)
+        report = {**asdict(params), "flux": "heat", "grid": 64, "seed": 0,
+                  **asdict(decay_check(params, 64, 0))}
+        assert out == render_json(report) + "\n"
+
     def test_blown_up_march_exits_3(self, capsys, recwarn):
         # the explicit heat scheme would blow up at this drift (cell Peclet
         # number 1.98): the grid is refused before the first step, with one
@@ -261,6 +277,16 @@ class TestVerifyMocCommand:
         payload = json.loads(out)
         assert payload["violations"] == 0
         assert payload["worst_margin"] <= payload["tol"]
+
+    def test_report_is_two_point_check(self, capsys):
+        _, out, _ = run_cli(capsys, "verify-moc", "--grid", "64", "--seed", "3")
+        params, heat = ModelParams(3, 0.0, 2.0), Flux.heat()
+        phi0 = seeded_concave_modulus(params, 64, 3)
+        times = [0.4 * (k + 1) / 5.0 for k in range(5)]
+        rep = two_point_check(heat, params, phi0, times, two_point_dt(heat, phi0, 0.75 * 0.4))
+        report = {**asdict(params), "flux": "heat", "grid": 64, "seed": 3, "t_end": 0.4,
+                  **asdict(rep)}
+        assert out == render_json(report) + "\n"
 
     def test_plaplacian_flux_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "verify-moc", "--n", "3", "--kappa", "0",

@@ -22,6 +22,7 @@ from specgap import (
     flux_eval,
     integrate_phi,
     radial_flow,
+    seeded_concave_modulus,
 )
 from specgap.specialfn import tk_array
 
@@ -264,6 +265,21 @@ class TestGridProfile:
             Profile(grid=g, t=0.0, values=np.ones(17))
         with pytest.raises(InvalidParamsError):
             Profile(grid=g, t=0.0, values=np.zeros(5))
+
+    @pytest.mark.parametrize("kappa, diameter", [(-1.0, 2.0), (0.5, 3.0)])
+    def test_seeded_concave_modulus(self, kappa, diameter):
+        params = ModelParams(3, kappa, diameter)
+        for seed in range(4):
+            phi = seeded_concave_modulus(params, 64, seed)
+            assert (phi.grid, phi.t) == (Grid1D(params.half_diameter, 64), 0.0)
+            assert phi.osc() == 1.0 and phi.values[-1] == 1.0
+            assert np.all(np.diff(phi.values) > 0.0)
+            assert np.all(np.diff(phi.values, 2) < 0.0)  # concave
+            np.testing.assert_array_equal(seeded_concave_modulus(params, 64, seed).values,
+                                          phi.values)
+        assert not np.array_equal(seeded_concave_modulus(params, 64, 1).values, phi.values)
+        with pytest.raises(InvalidParamsError, match="seed must be >= 0, got -1"):
+            seeded_concave_modulus(params, 64, -1)
 
 
 class TestEvolveHeat:

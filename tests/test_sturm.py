@@ -348,6 +348,12 @@ class TestFdOracle:
         with pytest.raises(InvalidParamsError):
             sl_fd_oracle(ModelParams(2, 0.0, 1.0), 32)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_mu_is_a_typed_error_without_warnings(self):
+        # (ck(e) -+ tk*sk(e))^(n-1) overflows on the rough 64-cell seed rung
+        with pytest.raises(NonConvergenceError, match="not finite and positive"):
+            sl_fd_oracle(ModelParams(75, -7500.0, 20.0), 256)
+
     @pytest.mark.parametrize("oracle", [sl_fd_oracle, sl_fd_oracle_extrapolated])
     @pytest.mark.parametrize("gridpoints", [65, 2049])
     def test_odd_gridpoints_are_refused(self, oracle, gridpoints):

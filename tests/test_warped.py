@@ -17,11 +17,12 @@ from specgap import (
     evolve,
     first_eigenvalue,
     fit_decay,
-    flux_eval,
     integrate_phi,
     radial_flow,
     ricci_bounds,
     seeded_odd_initial_data,
+    two_point_check,
+    two_point_dt,
     verify_moc,
 )
 from specgap.specialfn import ck
@@ -37,12 +38,6 @@ def odd_sine_data(diameter: float, cells: int) -> np.ndarray:
 def concave_profile(diameter: float, m: int) -> Profile:
     grid = Grid1D(diameter / 2, m)
     return Profile(grid=grid, t=0.0, values=np.sin(math.pi * grid.nodes / diameter))
-
-
-def shared_dt(flux: Flux, phi0: Profile, cfl: float = 0.3) -> float:
-    q = np.gradient(phi0.values, phi0.grid.h)
-    amax = max(flux_eval(flux, float(qi))[0] for qi in q)
-    return cfl * phi0.grid.h**2 / max(1.0, amax)
 
 
 def reference_verify_moc(solution, phi_series, tol):
@@ -62,20 +57,27 @@ def reference_verify_moc(solution, phi_series, tol):
             pairs += len(margins)
         ant = np.abs((u[center + 1 :] - u[center - 1 :: -1]) - 2.0 * phi[2 : m_u + 1 : 2])
         defect = max(defect, float(np.max(ant)))
-    return ViolationReport(violations=violations, worst_margin=worst, antipodal_defect=defect,
-                           pairs_checked=pairs, times_checked=len(phi_series))
+    return ViolationReport(tol=tol, violations=violations, worst_margin=worst,
+                           antipodal_defect=defect, pairs_checked=pairs,
+                           times_checked=len(phi_series))
 
 
 def matched_evolutions(n, kappa, diameter, flux, cells, times):
     """Radial solution plus the modulus evolution at half its spacing."""
     params = ModelParams(n, kappa, diameter)
     phi0 = concave_profile(diameter, cells)
-    u0 = odd_sine_data(diameter, cells)
-    ctrl = StepControls(output_times=list(times), fixed_dt=shared_dt(flux, phi0))
+    ctrl = StepControls(output_times=list(times), fixed_dt=two_point_dt(flux, phi0, 0.3))
     metric = WarpedMetric(params, default_warp_amplitude(kappa))
-    sol = radial_flow(metric, flux, u0, times[-1], ctrl)
+    sol = radial_flow(metric, flux, odd_sine_data(diameter, cells), times[-1], ctrl)
     phis = evolve(flux, params, phi0, times[-1], ctrl)
-    return sol, phis, u0
+    return sol, phis
+
+
+def sine_check(n, kappa, diameter, flux, cells, times):
+    """The two-point check of the sine modulus at criterion 10's dt."""
+    phi0 = concave_profile(diameter, cells)
+    return two_point_check(flux, ModelParams(n, kappa, diameter), phi0, times,
+                           two_point_dt(flux, phi0, 0.3))
 
 
 class TestRicciBounds:
@@ -224,50 +226,39 @@ class TestRadialFlow:
 
 class TestVerifyMoc:
     def test_zero_violations_for_matched_evolution(self):
-        cells = 64
         times = [0.1, 0.25, 0.4]
-        sol, phis, u0 = matched_evolutions(3, -1.0, 2.0, Flux.heat(), cells, times)
-        tol = 5 * (2.0 / cells) ** 2 * float(np.max(u0) - np.min(u0))
-        rep = verify_moc(sol, phis, tol)
+        rep = sine_check(3, -1.0, 2.0, Flux.heat(), 64, times)
         assert rep.violations == 0
-        assert rep.worst_margin <= tol
-        assert rep.antipodal_defect <= tol
+        assert rep.worst_margin <= rep.tol
+        assert rep.antipodal_defect <= rep.tol
         assert rep.times_checked == len(times)
 
     def test_halved_modulus_is_rejected(self):
-        cells = 64
         times = [0.1, 0.25]
-        sol, phis, u0 = matched_evolutions(3, -1.0, 2.0, Flux.heat(), cells, times)
-        tol = 5 * (2.0 / cells) ** 2 * float(np.max(u0) - np.min(u0))
+        tol = sine_check(3, -1.0, 2.0, Flux.heat(), 64, times).tol
+        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, times)
         shrunk = [Profile(grid=p.grid, t=p.t, values=0.5 * p.values) for p in phis]
         rep = verify_moc(sol, shrunk, tol)
         assert rep.violations > 0
         assert rep.worst_margin > tol
 
     def test_antipodal_defect_shrinks_quadratically(self):
-        defects = {}
-        for cells in (64, 128):
-            sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), cells, [0.2, 0.4])
-            rep = verify_moc(sol, phis, tol=1.0)
-            defects[cells] = rep.antipodal_defect
-        assert defects[64] / defects[128] >= 3.0
+        d64, d128 = (sine_check(3, -1.0, 2.0, Flux.heat(), cells, [0.2, 0.4]).antipodal_defect
+                     for cells in (64, 128))
+        assert d64 / d128 >= 3.0
 
     def test_positive_curvature_degenerate_flux_violates(self):
         # with p > 2 the flux coefficient vanishes at the Neumann ends, so the
         # endpoint value stalls while positive-curvature drift pulls the
         # interior down: the two-point bound genuinely fails at fixed h and
         # the checker must report it (margin far above discretization scale)
-        cells = 64
-        flux = Flux.plaplacian(3.0, 1e-8)
-        sol, phis, u0 = matched_evolutions(3, 0.5, 2.0, flux, cells, [0.2, 0.4])
-        tol = 5 * (2.0 / cells) ** 2 * float(np.max(u0) - np.min(u0))
-        rep = verify_moc(sol, phis, tol)
+        rep = sine_check(3, 0.5, 2.0, Flux.plaplacian(3.0, 1e-8), 64, [0.2, 0.4])
         assert rep.violations > 0
         assert rep.worst_margin > 5e-2
 
     def test_stamp_and_grid_mismatches_rejected(self):
         cells = 64
-        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), cells, [0.1])
+        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), cells, [0.1])
         late = [Profile(grid=p.grid, t=p.t + 0.05, values=p.values) for p in phis]
         with pytest.raises(InvalidParamsError):
             verify_moc(sol, late, 1e-3)
@@ -299,21 +290,26 @@ class TestVerifyMoc:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_radial_profile_rejected(self, value):
-        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
+        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
         sol.profiles[1][5] = value
         with pytest.raises(InvalidParamsError, match="finite"):
             verify_moc(sol, phis, 1e-3)
 
     def test_radial_profile_of_wrong_length_rejected(self):
-        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
+        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
         sol.profiles[1] = sol.profiles[1][:-1]
         with pytest.raises(InvalidParamsError, match="one value per node"):
             verify_moc(sol, phis, 1e-3)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    def test_report_carries_its_tol(self, tol):
+        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1])
+        assert verify_moc(sol, phis, tol).tol == tol
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tol_rejected(self, tol):
         # a NaN or infinite tol would pass every pair without testing it
-        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1])
+        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1])
         with pytest.raises(InvalidParamsError):
             verify_moc(sol, phis, tol)
 
