@@ -26,8 +26,6 @@ from .model import InvalidParamsError, ModelParams, NonConvergenceError, PoleErr
 from .moc_pde import Flux, StepControls, evolve, seeded_concave_modulus
 from .sturm import first_eigenvalue
 from .warped import (
-    _DECAY_SAMPLES,
-    _DECAY_WINDOW,
     decay_check,
     default_warp_amplitude,
     ricci_bounds,
@@ -189,17 +187,6 @@ def cmd_decay(args):
             "decay compares the fitted rate with the linear eigenvalue mu, which governs "
             "the heat flux only; got --flux %s" % args.flux
         )
-    # a fit window spanning less than one explicit step can snap all of its
-    # samples to the same step; decay_check refuses the other bad grids and horizons
-    if args.t_end is not None and args.grid > 0:
-        dt = args.cfl * (params.diameter / args.grid) ** 2
-        fit_samples = int(round(_DECAY_WINDOW * _DECAY_SAMPLES))
-        if 0 < args.t_end * (fit_samples - 1) / _DECAY_SAMPLES < dt:
-            raise InvalidParamsError(
-                "--t-end %g is too short: the fitted last %d of %d samples span less than "
-                "one explicit step dt = cfl*(D/grid)^2 = %g; raise --t-end, or raise --grid "
-                "or lower --cfl" % (args.t_end, fit_samples, _DECAY_SAMPLES, dt)
-            )
     rec = decay_check(params, args.grid, args.seed, args.t_end, args.cfl)
     report = {
         **dataclasses.asdict(params),
@@ -220,7 +207,7 @@ def cmd_verify_moc(args):
     if cells % 2 or cells < 32:
         raise InvalidParamsError(f"verify-moc needs an even --grid >= 32, got {cells}")
     phi0 = seeded_concave_modulus(params, cells, args.seed)
-    dt = two_point_dt(flux, phi0, 0.75 * args.cfl)
+    dt = two_point_dt(flux, phi0, args.cfl)
     times = [t_end * (k + 1) / 5.0 for k in range(5)]
     if 0 < times[0] < dt:  # the march refuses a horizon that is not positive
         raise InvalidParamsError(
@@ -229,7 +216,7 @@ def cmd_verify_moc(args):
             "state would be checked; raise --t-end, or raise --grid or lower --cfl"
             % (t_end, dt)
         )
-    rep = two_point_check(flux, params, phi0, times, dt, args.cfl)
+    rep = two_point_check(flux, params, phi0, times, args.cfl)
     report = {
         **dataclasses.asdict(params),
         "flux": args.flux,

@@ -249,24 +249,24 @@ def verify_moc(
 
 
 def two_point_dt(flux: Flux, phi0: Profile, cfl: float) -> float:
-    """``two_point_check``'s fixed step cfl*h^2/max(1, alpha) over the gradients of ``phi0``."""
+    """``two_point_check``'s step 0.75*cfl*h^2/max(1, alpha) over the gradients of ``phi0``."""
     grads = np.gradient(phi0.values, phi0.grid.h)
     alpha_max = max(flux_eval(flux, float(q))[0] for q in grads)
-    return cfl * phi0.grid.h**2 / max(1.0, alpha_max)
+    return 0.75 * cfl * phi0.grid.h**2 / max(1.0, alpha_max)
 
 
 def two_point_check(
-    flux: Flux, params: ModelParams, phi0: Profile, times: list[float], dt: float, cfl: float = 0.4
+    flux: Flux, params: ModelParams, phi0: Profile, times: list[float], cfl: float = 0.4
 ) -> ViolationReport:
     """The two-point modulus check of the initial modulus ``phi0``.
 
     The radial data is the odd extension of every second sample of ``phi0``
     onto [-D/2, D/2], a grid of the same cell count.  Both flows march on the
-    fixed step ``dt`` and are checked at ``times`` at tol = 5*h^2*osc(u0),
-    with h the radial spacing.
+    fixed step ``two_point_dt(flux, phi0, cfl)`` and are checked at ``times``
+    at tol = 5*h^2*osc(u0), with h the radial spacing.
     """
     u0 = np.concatenate([-phi0.values[::2][:0:-1], phi0.values[::2]])
-    controls = StepControls(cfl=cfl, output_times=times, fixed_dt=dt)
+    controls = StepControls(cfl=cfl, output_times=times, fixed_dt=two_point_dt(flux, phi0, cfl))
     metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
     sol = radial_flow(metric, flux, u0, times[-1], controls)
     phis = evolve(flux, params, phi0, times[-1], controls)
@@ -325,6 +325,16 @@ def decay_check(
     u0, mu = seeded_odd_initial_data(params, cells, seed)
     if t_end is None:
         t_end = 6.0 / mu
+    # a fit window spanning less than one explicit step can snap all of its
+    # samples to the same step; the march refuses a horizon that is not positive
+    dt = cfl * (params.diameter / cells) ** 2
+    fit_samples = int(round(_DECAY_WINDOW * _DECAY_SAMPLES))
+    if 0 < t_end * (fit_samples - 1) / _DECAY_SAMPLES < dt:
+        raise InvalidParamsError(
+            "--t-end %g is too short: the fitted last %d of %d samples span less than "
+            "one explicit step dt = cfl*(D/grid)^2 = %g; raise --t-end, or raise --grid "
+            "or lower --cfl" % (t_end, fit_samples, _DECAY_SAMPLES, dt)
+        )
     times = [t_end * (k + 1) / _DECAY_SAMPLES for k in range(_DECAY_SAMPLES)]
     metric = WarpedMetric(params, default_warp_amplitude(params.kappa))
     sol = radial_flow(metric, Flux.heat(), u0, t_end, StepControls(cfl=cfl, output_times=times))

@@ -26,7 +26,6 @@ from specgap import (
     ricci_bounds,
     sl_fd_oracle_extrapolated,
     two_point_check,
-    two_point_dt,
 )
 
 
@@ -183,7 +182,7 @@ def _moc_case(n, kappa, diameter, flux, cells, times):
     params = ModelParams(n, kappa, diameter)
     grid = Grid1D(diameter / 2.0, cells)
     phi0 = Profile(grid=grid, t=0.0, values=np.sin(math.pi * grid.nodes / diameter))
-    return two_point_check(flux, params, phi0, times, two_point_dt(flux, phi0, 0.3))
+    return two_point_check(flux, params, phi0, times)
 
 
 def test_criterion_10_modulus_preservation():

@@ -15,7 +15,6 @@ from specgap import (
     decay_check,
     seeded_concave_modulus,
     two_point_check,
-    two_point_dt,
 )
 
 PI = "3.141592653589793"
@@ -283,7 +282,7 @@ class TestVerifyMocCommand:
         params, heat = ModelParams(3, 0.0, 2.0), Flux.heat()
         phi0 = seeded_concave_modulus(params, 64, 3)
         times = [0.4 * (k + 1) / 5.0 for k in range(5)]
-        rep = two_point_check(heat, params, phi0, times, two_point_dt(heat, phi0, 0.75 * 0.4))
+        rep = two_point_check(heat, params, phi0, times)
         report = {**asdict(params), "flux": "heat", "grid": 64, "seed": 3, "t_end": 0.4,
                   **asdict(rep)}
         assert out == render_json(report) + "\n"

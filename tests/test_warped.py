@@ -14,7 +14,6 @@ from specgap import (
     ViolationReport,
     WarpedMetric,
     default_warp_amplitude,
-    evolve,
     first_eigenvalue,
     fit_decay,
     integrate_phi,
@@ -22,9 +21,9 @@ from specgap import (
     ricci_bounds,
     seeded_odd_initial_data,
     two_point_check,
-    two_point_dt,
     verify_moc,
 )
+from specgap import warped
 from specgap.specialfn import ck
 
 MU_3_M1_2 = 1.682043320038555
@@ -62,22 +61,19 @@ def reference_verify_moc(solution, phi_series, tol):
                            times_checked=len(phi_series))
 
 
-def matched_evolutions(n, kappa, diameter, flux, cells, times):
-    """Radial solution plus the modulus evolution at half its spacing."""
-    params = ModelParams(n, kappa, diameter)
-    phi0 = concave_profile(diameter, cells)
-    ctrl = StepControls(output_times=list(times), fixed_dt=two_point_dt(flux, phi0, 0.3))
-    metric = WarpedMetric(params, default_warp_amplitude(kappa))
-    sol = radial_flow(metric, flux, odd_sine_data(diameter, cells), times[-1], ctrl)
-    phis = evolve(flux, params, phi0, times[-1], ctrl)
-    return sol, phis
-
-
 def sine_check(n, kappa, diameter, flux, cells, times):
-    """The two-point check of the sine modulus at criterion 10's dt."""
-    phi0 = concave_profile(diameter, cells)
-    return two_point_check(flux, ModelParams(n, kappa, diameter), phi0, times,
-                           two_point_dt(flux, phi0, 0.3))
+    """The two-point check of the sine modulus, as criterion 10 runs it."""
+    return two_point_check(flux, ModelParams(n, kappa, diameter), concave_profile(diameter, cells),
+                           times)
+
+
+def matched_evolutions(n, kappa, diameter, flux, cells, times):
+    """The radial solution, modulus evolutions and tol that ``sine_check`` verifies."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(warped, "verify_moc", lambda *check: seen.append(check) or verify_moc(*check))
+        sine_check(n, kappa, diameter, flux, cells, times)
+    return seen[0]
 
 
 class TestRicciBounds:
@@ -235,8 +231,7 @@ class TestVerifyMoc:
 
     def test_halved_modulus_is_rejected(self):
         times = [0.1, 0.25]
-        tol = sine_check(3, -1.0, 2.0, Flux.heat(), 64, times).tol
-        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, times)
+        sol, phis, tol = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, times)
         shrunk = [Profile(grid=p.grid, t=p.t, values=0.5 * p.values) for p in phis]
         rep = verify_moc(sol, shrunk, tol)
         assert rep.violations > 0
@@ -258,7 +253,7 @@ class TestVerifyMoc:
 
     def test_stamp_and_grid_mismatches_rejected(self):
         cells = 64
-        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), cells, [0.1])
+        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), cells, [0.1])
         late = [Profile(grid=p.grid, t=p.t + 0.05, values=p.values) for p in phis]
         with pytest.raises(InvalidParamsError):
             verify_moc(sol, late, 1e-3)
@@ -290,26 +285,26 @@ class TestVerifyMoc:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_radial_profile_rejected(self, value):
-        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
+        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
         sol.profiles[1][5] = value
         with pytest.raises(InvalidParamsError, match="finite"):
             verify_moc(sol, phis, 1e-3)
 
     def test_radial_profile_of_wrong_length_rejected(self):
-        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
+        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1, 0.2])
         sol.profiles[1] = sol.profiles[1][:-1]
         with pytest.raises(InvalidParamsError, match="one value per node"):
             verify_moc(sol, phis, 1e-3)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-3])
     def test_report_carries_its_tol(self, tol):
-        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1])
+        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1])
         assert verify_moc(sol, phis, tol).tol == tol
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tol_rejected(self, tol):
         # a NaN or infinite tol would pass every pair without testing it
-        sol, phis = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1])
+        sol, phis, _ = matched_evolutions(3, -1.0, 2.0, Flux.heat(), 64, [0.1])
         with pytest.raises(InvalidParamsError):
             verify_moc(sol, phis, tol)
 
