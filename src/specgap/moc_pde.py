@@ -327,12 +327,17 @@ def _march(
     and Q.  The increment is exactly 0 on constant data.  On the p-Laplacian
     flux beta = (q^2 + eps^2)^((p-2)/2) takes the centered
     q = (u[i+1] - u[i-1])/(2h) on its physical scale: (2h)^(2-p) overflows
-    at p = 250.  eps^2, 1/(2h) and the adaptive dt enter as 0-d float64
-    arrays, which spares numpy a Python scalar's dtype resolution on every
-    call; the power keeps a Python float exponent, numpy's scalar-power path
-    (0.5 is a square root).  max(alpha) = (p-1)*max(beta) is read at
-    ``beta.argmax()``, which returns the first NaN, so a NaN or inf
-    coefficient still meets the refusal below.
+    at p = 250.  So a p-Laplacian run marches v = u/(2h), formed once inside
+    the march's errstate: the centered difference v[i+1] - v[i-1] is q, the
+    right ghost is v[-2] + g(t), and the step, linear in the state, is the
+    same step.  Each output is the state times 2h, exact (and bitwise that
+    of a march in u) when 2h is a power of two, one more rounding otherwise;
+    a t = 0 output is a copy of u0 itself.  eps^2 and the adaptive dt enter
+    as 0-d float64 arrays, which spares numpy a Python scalar's dtype
+    resolution on every call; the power keeps a Python float exponent,
+    numpy's scalar-power path (0.5 is a square root).  max(alpha) =
+    (p-1)*max(beta) is read at ``beta.argmax()``, which returns the first
+    NaN, so a NaN or inf coefficient still meets the refusal below.
 
     Before the first step, a grid whose cell Peclet number
     h*max|nm1_tk|/(2*(p-1)) (beta/alpha = 1/(p-1)) exceeds 1 raises
@@ -430,14 +435,17 @@ def _march(
     else:
         eps = flux.epsilon
         if eps is None:
-            eps = _AUTO_EPS_SCALE * float(np.max(u0) - np.min(u0)) / diameter
-        eps2, inv_2h = np.array(eps * eps), np.array(1.0 / (2.0 * h))
+            # Python floats: an oscillation beyond the largest double is inf, not a warning
+            eps = _AUTO_EPS_SCALE * (float(np.max(u0)) - float(np.min(u0))) / diameter
+        eps2 = np.array(eps * eps)
         exponent, pm1 = 0.5 * (flux.p - 2.0), flux.p - 1.0
         step = np.array(0.0)  # the adaptive dt
         argmax = mp.argmax
 
     subtract, multiply = np.subtract, np.multiply
     two_h = 2.0 * h
+    unit = 1.0 if heat else two_h  # the state holds u/unit
+    ghost_weight = two_h / unit  # of the Neumann data in the right ghost
     t = 0.0
     k = 0
     # an adaptive run records its dt after the first step, then projects its
@@ -449,6 +457,8 @@ def _march(
     # warnings on the way there say nothing more, nor does 0 ** negative
     # (alpha = inf, refused below)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not heat:
+            ue /= two_h  # overflows to inf on data near the largest double
         while pending:
             if heat and next_t > (k + _BLOCK) * dt:
                 subtract(u, u[0], out=padded[_BLOCK:-_BLOCK])
@@ -459,11 +469,10 @@ def _march(
                 t = k * dt
                 continue
             ue[0] = -u[1] if odd_pivot else u[1]
-            ue[-1] = u[-2] + two_h * gr(t) if gr is not None else u[-2]
+            ue[-1] = u[-2] + ghost_weight * gr(t) if gr is not None else u[-2]
             subtract(upper, lower, g)
             if not heat:
                 subtract(right, left, mp)
-                mp *= inv_2h
                 multiply(mp, mp, mp)
                 mp += eps2
                 mp **= exponent
@@ -476,7 +485,7 @@ def _march(
                     )
                 if max_alpha == 0.0:
                     # fully degenerate flux: the data is stationary
-                    outputs.extend((float(target), u.copy()) for target in pending)
+                    outputs.extend((float(target), u * unit) for target in pending)
                     break
                 if adaptive:
                     dt = _step_size(controls, cfl_h2 / max_alpha, t)
@@ -496,13 +505,14 @@ def _march(
             if prior is not None:
                 while pending and t_new >= pending[0]:
                     target = pending.popleft()
-                    stamp, values = prior if abs(t - target) <= abs(t_new - target) else (t_new, u)
+                    stamp, state = prior if abs(t - target) <= abs(t_new - target) else (t_new, u)
+                    values = state * unit
                     if not np.isfinite(values).all():
                         raise NonConvergenceError(
                             "the explicit scheme blew up: the state at t = %g is not finite "
                             "(refine the grid or lower cfl)" % stamp
                         )
-                    outputs.append((stamp, values.copy()))
+                    outputs.append((stamp, values))
                 next_t = pending[0] if pending else math.inf
             t = t_new
             k += 1

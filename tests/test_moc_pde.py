@@ -619,25 +619,46 @@ class TestPLaplacianMarch:
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("forcing", ["none", "right"])
     @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
-    def test_difference_form_is_the_textbook_step(self, flux, fixed, forcing, route):
-        # the step regroups the textbook arithmetic: values to roundoff
+    @pytest.mark.parametrize("diameter", [2.0, math.pi], ids=["D2", "Dpi"])
+    def test_difference_form_is_the_textbook_step(self, flux, fixed, forcing, route, diameter):
+        # the step regroups the textbook arithmetic: values to roundoff; at
+        # D = pi, 2h is not a power of two, and the state in units of 2h
+        # rounds once more
+        params = dataclasses.replace(self.PARAMS, diameter=diameter)
         if route == "evolve":
-            traj = integrate_phi(self.PARAMS, self.SIGMA, 32)
+            traj = integrate_phi(params, self.SIGMA, 32)
             u0, slope = traj.phi, traj.dphi[-1]
-            h = self.PARAMS.half_diameter / 32
+            h = params.half_diameter / 32
             nodes = np.arange(33) * h
         else:
-            half = integrate_phi(self.PARAMS, self.SIGMA, 32)
+            half = integrate_phi(params, self.SIGMA, 32)
             u0, slope = np.concatenate([-half.phi[:0:-1], half.phi]), half.dphi[-1]
-            h = self.PARAMS.diameter / 64
-            nodes = -self.PARAMS.half_diameter + np.arange(65) * h
+            h = params.diameter / 64
+            nodes = -params.half_diameter + np.arange(65) * h
         controls = self.controls(flux, u0, h, slope, fixed, forcing)
-        nm1_tk = (self.PARAMS.n - 1) * tk_array(self.PARAMS.kappa, nodes)
-        got = specgap.moc_pde._march(u0, h, nm1_tk, flux, self.PARAMS.diameter, self.T_END,
+        nm1_tk = (params.n - 1) * tk_array(params.kappa, nodes)
+        got = specgap.moc_pde._march(u0, h, nm1_tk, flux, params.diameter, self.T_END,
                                      controls, route == "evolve")
-        ref = textbook_march(flux, self.PARAMS.diameter, u0, h, nm1_tk, self.T_END, controls,
+        ref = textbook_march(flux, params.diameter, u0, h, nm1_tk, self.T_END, controls,
                              route == "evolve")
         self.assert_textbook(got, u0, ref, fixed)
+
+    @pytest.mark.parametrize("route", ["evolve", "radial_flow"])
+    def test_first_output_is_the_input(self, route):
+        # 2h = pi/64 is not a power of two, so u0/(2h)*(2h) need not be u0:
+        # a t = 0 output is the input itself, not the state scaled back
+        params = ModelParams(2, -1.0, math.pi)
+        phi0 = seeded_concave_modulus(params, 32, seed=7)
+        controls = StepControls(output_times=[0.0, 0.01])
+        if route == "evolve":
+            u0 = phi0.values
+            first = evolve(Flux.plaplacian(3.0), params, phi0, 0.01, controls)[0].values
+        else:
+            u0 = np.concatenate([-phi0.values[:0:-1], phi0.values])
+            sol = radial_flow(WarpedMetric(params, 1.0), Flux.plaplacian(3.0), u0, 0.01,
+                              controls)
+            first = sol.profiles[0]
+        assert np.array_equal(first, u0)
 
     @pytest.mark.parametrize("cells", [64, 1024])
     def test_p_250_keeps_the_gradient_on_its_physical_scale(self, cells):
@@ -935,6 +956,22 @@ class TestBlowUp:
         u0 = self.SCALE * np.sin(0.5 * math.pi * np.linspace(-1.0, 1.0, 33))
         with pytest.raises(NonConvergenceError, match="t = 3 is not finite"):
             radial_flow(WarpedMetric(self.PARAMS, 1.0), Flux.heat(), u0, 3.0)
+
+    # a p-Laplacian state in units of 2h = 1/8 overflows on this data, inside
+    # the march's errstate, and its flux coefficient is refused at t = 0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_plaplacian_evolve_is_refused(self):
+        grid = Grid1D(self.PARAMS.half_diameter, 16)
+        phi0 = Profile(grid=grid, t=0.0, values=self.SCALE * np.sin(0.5 * math.pi * grid.nodes))
+        with pytest.raises(CFLViolationError, match="at t = 0$"):
+            evolve(Flux.plaplacian(3.0), self.PARAMS, phi0, 0.01)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_plaplacian_radial_flow_is_refused(self):
+        # the oscillation 2e308 is beyond the largest double: eps is inf
+        u0 = self.SCALE * np.sin(0.5 * math.pi * np.linspace(-1.0, 1.0, 33))
+        with pytest.raises(CFLViolationError, match="at t = 0$"):
+            radial_flow(WarpedMetric(self.PARAMS, 1.0), Flux.plaplacian(3.0), u0, 0.01)
 
 
 class TestPecletRefusal:
